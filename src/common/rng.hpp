@@ -71,12 +71,6 @@ class Xoshiro256StarStar {
     return static_cast<double>(next() >> 11) * 0x1.0p-53;
   }
 
-  /// Uniform double in (0, 1) — never returns exactly 0, safe for log().
-  double next_double_open() {
-    // 2^-54 offset keeps the value strictly inside the unit interval.
-    return (static_cast<double>(next() >> 11) + 0.5) * 0x1.0p-53;
-  }
-
   /// Uniform integer in [0, bound). Uses Lemire's multiply-shift rejection.
   std::uint64_t next_below(std::uint64_t bound);
 

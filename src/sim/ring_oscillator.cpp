@@ -44,44 +44,22 @@ Picoseconds RingOscillator::nominal_half_period() const {
   return sum;
 }
 
-double RingOscillator::take_gaussian() {
-  if (gauss_pos_ < gauss_len_) return gauss_buf_[gauss_pos_++];
-  return rng_.next_gaussian();
-}
-
-void RingOscillator::ensure_gaussians(std::size_t want) {
-  const std::size_t left = gauss_len_ - gauss_pos_;
-  if (left >= want) return;
-  if (gauss_pos_ > 0) {
-    std::copy(gauss_buf_.begin() + static_cast<std::ptrdiff_t>(gauss_pos_),
-              gauss_buf_.begin() + static_cast<std::ptrdiff_t>(gauss_len_),
-              gauss_buf_.begin());
-    gauss_len_ = left;
-    gauss_pos_ = 0;
-  }
-  if (gauss_buf_.size() < want) gauss_buf_.resize(want);
-  rng_.fill_gaussian(gauss_buf_.data() + gauss_len_, want - gauss_len_);
-  gauss_len_ = want;
-}
-
 void RingOscillator::reset(Picoseconds t0) {
   for (auto& q : toggles_) q.clear();
   std::fill(value_.begin(), value_.end(), static_cast<unsigned char>(1));
   running_ = true;
   now_ = t0;
   // ENABLE rises at t0: the NAND (stage 0) sees both inputs high and its
-  // output falls one stage delay later. Draws go through take_gaussian():
-  // a reset between batched advances must consume any pre-drawn block
-  // values first to stay on the scalar draw sequence.
+  // output falls one stage delay later.
   pending_stage_ = 0;
   const double mult = supply_ ? supply_->multiplier_at(t0) : 1.0;
   flicker_state_ = noise_.flicker_corr * flicker_state_ +
-                   flicker_coeff_ * take_gaussian();
+                   flicker_coeff_ * rng_.next_gaussian();
   pending_time_ = t0 + stage_delays_[0] * mult +
-                  white_sigma_ * take_gaussian() + flicker_state_;
+                  white_sigma_ * rng_.next_gaussian() + flicker_state_;
 }
 
-void RingOscillator::advance_to(Picoseconds t, AdvanceKernel kernel) {
+void RingOscillator::advance_to(Picoseconds t) {
   if (!running_) {
     throw std::logic_error("RingOscillator::advance_to: call reset() first");
   }
@@ -100,91 +78,31 @@ void RingOscillator::advance_to(Picoseconds t, AdvanceKernel kernel) {
   Picoseconds pt = pending_time_;
   int ps = pending_stage_;
   std::uint64_t trans = transitions_;
+  common::Xoshiro256StarStar rng = rng_;
   // The supply's tone/walk state is likewise copied in and written back so
   // multiplier_at runs entirely on locals; nobody else queries the shared
   // supply while this loop runs, so the draw order it sees is unchanged.
   SupplyNoise supply_local = supply_ ? *supply_ : SupplyNoise{{}, 0};
   SupplyNoise* const sup = supply_ ? &supply_local : nullptr;
 
-  // Strategy dispatch. Both loop bodies run the identical per-transition
-  // arithmetic on the identical Gaussian stream, so which one executes is
-  // purely a speed decision (measured on the bench microharness):
-  //   * with a supply attached, the on-demand loop wins (~1.3x): each
-  //     transition's tone_sin/walk evaluation is a long serial dependency
-  //     chain through pt, and the out-of-order core executes the polar
-  //     Gaussian math for free in its shadow — pre-drawing the block first
-  //     serializes the two phases and forfeits that overlap;
-  //   * without a supply the transition chain is short and the block
-  //     pre-draw pipelines better (~1.1x).
-  // kReference always takes the on-demand loop (it is the pinned scalar
-  // implementation); kBatched picks by configuration.
-  if (kernel == AdvanceKernel::kReference || sup != nullptr) {
-    // On-demand loop: one transition at a time, each Gaussian drawn as
-    // needed (block leftovers first — see take_gaussian()).
-    common::Xoshiro256StarStar rng = rng_;
-    const double* gb = gauss_buf_.data();
-    std::size_t gpos = gauss_pos_;
-    const std::size_t gend = gauss_len_;
-    while (pt <= t) {
-      tg[static_cast<std::size_t>(ps)].push_back(pt);
-      val[static_cast<std::size_t>(ps)] ^= 1u;
-      ++trans;
+  while (pt <= t) {
+    tg[static_cast<std::size_t>(ps)].push_back(pt);
+    val[static_cast<std::size_t>(ps)] ^= 1u;
+    ++trans;
 
-      // Launch the transition into the next stage (wrap without the integer
-      // division a % would cost on this per-event path).
-      int next = ps + 1;
-      if (next == nstages) next = 0;
-      const double mult = sup ? sup->multiplier_at(pt) : 1.0;
-      fs = corr * fs +
-           fcoeff * (gpos < gend ? gb[gpos++] : rng.next_gaussian());
-      Picoseconds delay =
-          sd[next] * mult +
-          wsigma * (gpos < gend ? gb[gpos++] : rng.next_gaussian()) + fs;
-      // Physical floor: a gate cannot have non-positive propagation delay.
-      delay = std::max(delay, 0.05 * sd[next]);
-      ps = next;
-      pt += delay;
-    }
-    gauss_pos_ = gpos;
-    rng_ = rng;
-  } else {
-    // Block pre-draw loop (no supply, so the delay multiplier is exactly
-    // 1.0 and drops out): pre-draw the (flicker, white) jitter pairs for a
-    // whole block of upcoming transitions with fill_gaussian — value-for-
-    // value the same stream the on-demand loop draws — then run the
-    // identical per-transition arithmetic against the contiguous block.
-    // Unconsumed pairs persist in gauss_buf_ for the next kernel or reset.
-    const Picoseconds mean_delay = mean_stage_delay();
-    while (pt <= t) {
-      // Transitions left in (pt, t], estimated from the mean traversal
-      // time with headroom for jitter; clamped so one refill covers small
-      // advances and huge ones stay cache-resident.
-      const double est = (t - pt) / mean_delay + 4.0;
-      const std::size_t block =
-          2 * std::min<std::size_t>(
-                  std::max<std::size_t>(static_cast<std::size_t>(est), 16),
-                  4096);
-      ensure_gaussians(block);
-      const double* gb = gauss_buf_.data();
-      std::size_t gpos = gauss_pos_;
-      const std::size_t gend = gauss_len_;
-      while (pt <= t && gpos + 2 <= gend) {
-        tg[static_cast<std::size_t>(ps)].push_back(pt);
-        val[static_cast<std::size_t>(ps)] ^= 1u;
-        ++trans;
-
-        int next = ps + 1;
-        if (next == nstages) next = 0;
-        fs = corr * fs + fcoeff * gb[gpos];
-        Picoseconds delay = sd[next] + wsigma * gb[gpos + 1] + fs;
-        gpos += 2;
-        delay = std::max(delay, 0.05 * sd[next]);
-        ps = next;
-        pt += delay;
-      }
-      gauss_pos_ = gpos;
-    }
+    // Launch the transition into the next stage (wrap without the integer
+    // division a % would cost on this per-event path).
+    int next = ps + 1;
+    if (next == nstages) next = 0;
+    const double mult = sup ? sup->multiplier_at(pt) : 1.0;
+    fs = corr * fs + fcoeff * rng.next_gaussian();
+    Picoseconds delay = sd[next] * mult + wsigma * rng.next_gaussian() + fs;
+    // Physical floor: a gate cannot have non-positive propagation delay.
+    delay = std::max(delay, 0.05 * sd[next]);
+    ps = next;
+    pt += delay;
   }
+  rng_ = rng;
   if (supply_) *supply_ = supply_local;
   flicker_state_ = fs;
   pending_time_ = pt;

@@ -16,8 +16,8 @@
 // The simulator keeps a bounded history of recent toggle times per stage so
 // the TDC can reconstruct the waveform a delay-line-depth into the past.
 // Per-stage state is struct-of-arrays: contiguous vectors of toggle times,
-// one per stage, plus flat value/delay arrays — the layout the batched
-// advance kernel streams through.
+// one per stage, plus flat value/delay arrays — the layout the advance
+// loop streams through and batched TDC captures flatten.
 #pragma once
 
 #include <cstdint>
@@ -29,21 +29,6 @@
 #include "sim/noise.hpp"
 
 namespace trng::sim {
-
-/// Which advance_to kernel to run. Both kernels execute the identical
-/// per-transition arithmetic on the identical Gaussian draw sequence
-/// (fill_gaussian's draw-order contract), so they produce bit-identical
-/// trajectories and may be interleaved freely on one oscillator:
-///   * kReference — the original one-transition-at-a-time loop, drawing
-///     each Gaussian on demand (the pinned scalar reference
-///     implementation);
-///   * kBatched   — the performance kernel: pre-draws whole blocks of
-///     (flicker, white) jitter pairs with fill_gaussian and advances many
-///     periods per refill when that is the faster strategy for the
-///     configuration, and falls back to the on-demand loop when it is not
-///     (see the dispatch comment in advance_to) — the choice is invisible
-///     in the trajectory.
-enum class AdvanceKernel { kReference, kBatched };
 
 class RingOscillator {
  public:
@@ -65,9 +50,10 @@ class RingOscillator {
   /// state persists across restarts (it is a property of the silicon).
   void reset(Picoseconds t0);
 
-  /// Simulates all transitions with arrival time <= t. The kernel choice
-  /// affects speed only: trajectories are bit-identical (see AdvanceKernel).
-  void advance_to(Picoseconds t, AdvanceKernel kernel = AdvanceKernel::kBatched);
+  /// Simulates all transitions with arrival time <= t, one at a time, each
+  /// drawing its (flicker, white) Gaussian pair from the oscillator's own
+  /// generator.
+  void advance_to(Picoseconds t);
 
   /// Output value of `stage` at time `t`. Requires advance_to(>= t) first
   /// and t within the retained history window; throws std::logic_error
@@ -109,14 +95,6 @@ class RingOscillator {
 
  private:
   void prune_history();
-  /// Next Gaussian in stream order: pre-drawn block values first, then the
-  /// generator. Every Gaussian consumer inside the oscillator goes through
-  /// this (or through the kernels' hoisted equivalent), which is what makes
-  /// kernel interleaving bit-transparent.
-  double take_gaussian();
-  /// Compacts unconsumed pre-drawn values to the front of gauss_buf_ and
-  /// tops the buffer up to `want` values with fill_gaussian.
-  void ensure_gaussians(std::size_t want);
 
   std::vector<Picoseconds> stage_delays_;
   Picoseconds white_sigma_;
@@ -141,15 +119,6 @@ class RingOscillator {
   Picoseconds now_ = 0.0;
   double flicker_state_ = 0.0;
   std::uint64_t transitions_ = 0;
-  // Pre-drawn Gaussian block (stream-order FIFO): values
-  // [gauss_pos_, gauss_len_) are drawn-but-unconsumed and MUST be consumed
-  // before rng_ is touched again, by whichever kernel (or reset()) runs
-  // next. The vector is grow-only storage — gauss_len_, not size(), bounds
-  // the valid values — so steady-state refills never resize (a resize
-  // would zero-fill the block just before fill_gaussian overwrites it).
-  std::vector<double> gauss_buf_;
-  std::size_t gauss_pos_ = 0;
-  std::size_t gauss_len_ = 0;
 };
 
 }  // namespace trng::sim

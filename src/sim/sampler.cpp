@@ -56,10 +56,8 @@ CaptureResult SampleController::next_capture(Cycles accumulation_cycles) {
   const Picoseconds t_sample = schedule_.begin_conversion(accumulation_cycles);
 
   // Simulate past the sample instant far enough to cover the largest
-  // positive clock skew plus the metastability aperture. The scalar capture
-  // path runs the reference advance kernel; trajectories are bit-identical
-  // to the batched kernel next_capture_into uses.
-  oscillator_.advance_to(t_sample + 500.0, AdvanceKernel::kReference);
+  // positive clock skew plus the metastability aperture.
+  oscillator_.advance_to(t_sample + 500.0);
 
   CaptureResult result;
   result.sample_time_ps = t_sample;
@@ -82,9 +80,8 @@ void SampleController::next_capture_into(Cycles accumulation_cycles,
     started_ = true;
   }
   const Picoseconds t_sample = schedule_.begin_conversion(accumulation_cycles);
-  // Whole-block sim advance: the batched SoA kernel pre-draws the jitter
-  // pairs for the full accumulation interval in one fill_gaussian block.
-  oscillator_.advance_to(t_sample + 500.0, AdvanceKernel::kBatched);
+  // Same advance as the scalar path, so both paths see one trajectory.
+  oscillator_.advance_to(t_sample + 500.0);
 
   const int taps = lines_.empty() ? 0 : lines_.front().taps();
   const int wpl = (taps + 63) / 64;

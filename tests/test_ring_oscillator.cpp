@@ -2,9 +2,14 @@
 // jitter-accumulation law (Eq. 1) it must reproduce.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
+#include <string>
 
 #include "common/stats.hpp"
+#include "server/sha256.hpp"
 #include "sim/ring_oscillator.hpp"
 
 namespace trng::sim {
@@ -157,6 +162,123 @@ TEST(RingOscillator, SingleStageWorks) {
   osc.reset(0.0);
   osc.advance_to(480.0 * 10.5);
   EXPECT_EQ(osc.transition_count(), 10u);
+}
+
+// Pinned trajectories. Each digest is SHA-256 over std::bit_cast<uint64_t>
+// of every retained toggle time and every current stage value, folded
+// after each step, plus the final transition count. The constants pin
+// the jitter draw order and per-transition arithmetic of advance_to and
+// reset across commits; any rewrite of them must reproduce these bits.
+
+class TrajectoryDigest {
+ public:
+  void fold_word(std::uint64_t w) {
+    std::uint8_t b[8];
+    for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(w >> (8 * i));
+    sha_.update(b, sizeof(b));
+  }
+  void fold_time(Picoseconds t) { fold_word(std::bit_cast<std::uint64_t>(t)); }
+  void fold(const RingOscillator& osc) {
+    for (int s = 0; s < osc.stages(); ++s) {
+      for (const Picoseconds t : osc.toggle_history(s)) fold_time(t);
+      fold_word(osc.current_value(s) ? 1 : 0);
+    }
+  }
+  std::string hex() {
+    std::uint8_t d[server::Sha256::kDigestBytes];
+    sha_.final(d);
+    static constexpr char kHex[] = "0123456789abcdef";
+    std::string out;
+    for (const std::uint8_t v : d) {
+      out += kHex[v >> 4];
+      out += kHex[v & 0xF];
+    }
+    return out;
+  }
+
+ private:
+  server::Sha256 sha_;
+};
+
+constexpr std::uint64_t kPinSeed = 0xD0D0CAFEULL;
+
+RingOscillator make_pinned(const NoiseConfig& noise, SupplyNoise* supply) {
+  return RingOscillator({480.0, 505.0, 466.0}, /*white_sigma_ps=*/2.0, noise,
+                        supply, kPinSeed);
+}
+
+TEST(RingOscillatorPinned, IrregularStepsWithSupply) {
+  // Steps from sub-transition (50 ps) to thousands of periods.
+  const NoiseConfig noise;  // white + flicker + supply tone/walk
+  SupplyNoise supply(noise, 42);
+  auto osc = make_pinned(noise, &supply);
+  osc.reset(0.0);
+  const double steps[] = {100.0,    3000.0, 50000.0, 50.0,
+                          250000.0, 1.0e6,  333.3,   2.5e6};
+  TrajectoryDigest dg;
+  double t = 0.0;
+  for (const double dt : steps) {
+    t += dt;
+    osc.advance_to(t);
+    dg.fold(osc);
+  }
+  EXPECT_EQ(osc.transition_count(), 7863u);
+  EXPECT_EQ(dg.hex(), "c914aa51a685f23972153945eb58aca9dfcfad5de803f257d8fcc4e55d8c64e5");
+}
+
+TEST(RingOscillatorPinned, RestartsCarryFlickerWithSupply) {
+  // The carry-chain sampler's pattern: reset (flicker state persists),
+  // accumulate, capture, repeat.
+  const NoiseConfig noise;
+  SupplyNoise supply(noise, 7);
+  auto osc = make_pinned(noise, &supply);
+  TrajectoryDigest dg;
+  double t0 = 0.0;
+  for (int rep = 0; rep < 25; ++rep) {
+    osc.reset(t0);
+    const double t_end = t0 + 20000.0 + 137.0 * rep;
+    osc.advance_to(t_end);
+    dg.fold(osc);
+    t0 = t_end + 5000.0;
+  }
+  EXPECT_EQ(osc.transition_count(), 1106u);
+  EXPECT_EQ(dg.hex(), "20705db6c7fb9e7e0b37c610c5fc2da52d96c7769ad2783a856342394bf39c32");
+}
+
+TEST(RingOscillatorPinned, FreeRunEdgesAfterPruningWithSupply) {
+  const NoiseConfig noise;
+  SupplyNoise supply(noise, 3);
+  auto osc = make_pinned(noise, &supply);
+  osc.reset(0.0);
+  osc.advance_to(5.0e6);
+  TrajectoryDigest dg;
+  dg.fold(osc);
+  for (int s = 0; s < osc.stages(); ++s) {
+    const auto edges = osc.edges_in(s, 5.0e6 - 4000.0, 5.0e6);
+    ASSERT_FALSE(edges.empty()) << "stage " << s;
+    for (const Picoseconds e : edges) dg.fold_time(e);
+  }
+  EXPECT_EQ(osc.transition_count(), 10337u);
+  EXPECT_EQ(dg.hex(), "f9358947c516c997509455be21c2a2c0d01e4ef58d8687d1dcc6fb3ea8f8bab8");
+}
+
+TEST(RingOscillatorPinned, WhiteOnlyWithoutSupply) {
+  // The stochastic model's world (no flicker, no supply), including a
+  // reset in mid-stream.
+  const NoiseConfig noise = NoiseConfig::white_only();
+  auto osc = make_pinned(noise, nullptr);
+  osc.reset(0.0);
+  TrajectoryDigest dg;
+  double t = 0.0;
+  for (t = 25000.0; t <= 500000.0; t += 25000.0) {
+    osc.advance_to(t);
+    dg.fold(osc);
+  }
+  osc.reset(t + 1000.0);
+  osc.advance_to(t + 60000.0);
+  dg.fold(osc);
+  EXPECT_EQ(osc.transition_count(), 1154u);
+  EXPECT_EQ(dg.hex(), "5079b974dcbbd2a0cecf5edb140f6c665952f4f827dad1212679d2fbaa0ec82c");
 }
 
 }  // namespace

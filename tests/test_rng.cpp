@@ -44,15 +44,6 @@ TEST(Xoshiro, DoubleInUnitInterval) {
   }
 }
 
-TEST(Xoshiro, OpenDoubleNeverZeroOrOne) {
-  Xoshiro256StarStar rng(2);
-  for (int i = 0; i < 10000; ++i) {
-    const double d = rng.next_double_open();
-    EXPECT_GT(d, 0.0);
-    EXPECT_LT(d, 1.0);
-  }
-}
-
 TEST(Xoshiro, NextBelowRespectsBound) {
   Xoshiro256StarStar rng(3);
   for (std::uint64_t bound : {1ULL, 2ULL, 7ULL, 100ULL, 1ULL << 40}) {
@@ -112,9 +103,9 @@ TEST(Xoshiro, SatisfiesUniformRandomBitGenerator) {
 
 // fill_gaussian's contract: fill_gaussian(out, n) produces exactly the
 // values of n successive next_gaussian() calls AND leaves the generator
-// in the identical state (including the one-value polar cache). Every
-// batched kernel in src/sim and src/core leans on this, so it is pinned
-// with EXPECT_EQ on the doubles — bit identity, not closeness.
+// in the identical state (including the one-value polar cache). The
+// sunar, str, tero and elementary batch paths lean on this, so it is
+// pinned with EXPECT_EQ on the doubles — bit identity, not closeness.
 
 /// n consecutive scalar draws from a copy, for comparison.
 std::vector<double> scalar_draws(Xoshiro256StarStar rng, std::size_t n) {
@@ -172,8 +163,8 @@ TEST(Xoshiro, FillGaussianAfterJumpMatchesScalar) {
 }
 
 TEST(Xoshiro, FillGaussianChunkedEqualsOneShot) {
-  // Splitting one logical block across several calls (as ensure_gaussians
-  // refills do) must concatenate to the same stream.
+  // Splitting one logical block across several calls (as the batch
+  // paths' per-chunk refills do) must concatenate to the same stream.
   Xoshiro256StarStar whole(7), pieces(7);
   double a[100];
   whole.fill_gaussian(a, 100);
