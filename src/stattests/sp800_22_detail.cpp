@@ -472,6 +472,18 @@ TestResult rank_from_counts(std::size_t big_n, std::size_t f_full,
   return r;
 }
 
+TestResult dft_result(std::size_t below, std::size_t n) {
+  TestResult r;
+  r.name = "dft";
+  const double n0 = 0.95 * static_cast<double>(n / 2);
+  const double n1 = static_cast<double>(below);
+  const double d =
+      (n1 - n0) /
+      std::sqrt(static_cast<double>(n) * 0.95 * 0.05 / 4.0);
+  r.p_values.push_back(std::erfc(std::fabs(d) / std::sqrt(2.0)));
+  return r;
+}
+
 TestResult linear_complexity_from_lengths(
     std::size_t block_len, const std::vector<std::size_t>& lengths) {
   TestResult r;

@@ -134,6 +134,10 @@ UniversalStatistic universal_statistic_from_sum(double sum, std::size_t k,
 TestResult rank_from_counts(std::size_t big_n, std::size_t f_full,
                             std::size_t f_minus1);
 
+/// `below` is the count of spectrum magnitudes |X_j| < T over j < n/2 for
+/// the (power-of-two) transform length n (Section 2.6.4 steps 4-6).
+TestResult dft_result(std::size_t below, std::size_t n);
+
 TestResult linear_complexity_from_lengths(
     std::size_t block_len, const std::vector<std::size_t>& lengths);
 

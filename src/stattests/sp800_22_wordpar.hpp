@@ -33,8 +33,9 @@ TestResult runs_test(const common::BitStream& bits,
                      Gating gating = Gating::kStrict);
 TestResult longest_run_test(const common::BitStream& bits);
 TestResult rank_test(const common::BitStream& bits);
-/// The DFT has no word-parallel form (the FFT dominates, already O(n log n)
-/// on doubles); this forwards to the scalar test.
+/// The DFT has no word-parallel form (the real-input FFT on doubles
+/// dominates, and it already gathers its input from the packed words);
+/// this forwards to the scalar test.
 TestResult dft_test(const common::BitStream& bits);
 TestResult non_overlapping_template_test(const common::BitStream& bits,
                                          unsigned tpl_len = 9);

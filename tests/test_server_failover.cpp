@@ -32,15 +32,24 @@
 #include "server/serverd.hpp"
 #include "sim/noise.hpp"
 
-// ThreadSanitizer slows the simulated sources by an order of magnitude,
-// which shifts every producer-side deadline in this test (clang spells
-// the predefine via __has_feature, gcc via __SANITIZE_THREAD__).
+// ThreadSanitizer slows the simulated sources by an order of magnitude and
+// AddressSanitizer (a Debug build in the asan preset) by several times,
+// which shifts every producer-side deadline in this test. clang spells the
+// predefines via __has_feature, gcc via __SANITIZE_THREAD__ and
+// __SANITIZE_ADDRESS__.
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer)
 #define TRNG_TEST_UNDER_TSAN 1
 #endif
-#elif defined(__SANITIZE_THREAD__)
+#if __has_feature(address_sanitizer)
+#define TRNG_TEST_UNDER_ASAN 1
+#endif
+#endif
+#if defined(__SANITIZE_THREAD__) && !defined(TRNG_TEST_UNDER_TSAN)
 #define TRNG_TEST_UNDER_TSAN 1
+#endif
+#if defined(__SANITIZE_ADDRESS__) && !defined(TRNG_TEST_UNDER_ASAN)
+#define TRNG_TEST_UNDER_ASAN 1
 #endif
 
 namespace {
@@ -145,6 +154,8 @@ TEST(ServerFailover, HealthyShardUnaffectedVictimServesUntilSeedExpires) {
   cfg.conditioner.seed_words = Words{16};
 #if defined(TRNG_TEST_UNDER_TSAN)
   cfg.conditioner.reseed_timeout_ns = 4'000'000'000;  // 4 s
+#elif defined(TRNG_TEST_UNDER_ASAN)
+  cfg.conditioner.reseed_timeout_ns = 2'000'000'000;  // 2 s
 #else
   cfg.conditioner.reseed_timeout_ns = 100'000'000;  // 100 ms
 #endif

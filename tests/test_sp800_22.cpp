@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "stattests/sp800_22.hpp"
+#include "stattests/sp800_22_detail.hpp"
 
 namespace trng::stat {
 namespace {
@@ -177,6 +180,107 @@ TEST(Dft, PassesRandomRejectsPeriodic) {
   }
   EXPECT_FALSE(dft_test(tone).passed());
   EXPECT_FALSE(dft_test(constant_bits(100, true)).applicable);
+}
+
+TEST(Dft, ShortInputGetsTheSharedGateVerdict) {
+  const common::BitStream bits = biased_bits(999, 0.5, 7);
+  const TestResult r = dft_test(bits);
+  const auto gated = detail::gate_dft(999);
+  ASSERT_TRUE(gated.has_value());
+  EXPECT_FALSE(r.applicable);
+  EXPECT_EQ(r.name, gated->name);
+  EXPECT_EQ(r.note, gated->note);
+  EXPECT_TRUE(dft_test(biased_bits(1000, 0.5, 7)).applicable);
+}
+
+/// Oracle for the spectral statistic: a direct O(n^2) DFT in long double
+/// over bits [0, n), returning the count of |X_j| < T = sqrt(ln(1/0.05) n)
+/// over j < n/2 (SP 800-22 Section 2.6.4 steps 2-4).
+std::size_t direct_dft_below(const common::BitStream& bits, std::size_t n) {
+  const long double two_pi = 2.0L * std::acos(-1.0L);
+  std::vector<long double> cosine(n);
+  std::vector<long double> sine(n);
+  for (std::size_t m = 0; m < n; ++m) {
+    const long double angle =
+        two_pi * static_cast<long double>(m) / static_cast<long double>(n);
+    cosine[m] = std::cos(angle);
+    sine[m] = std::sin(angle);
+  }
+  const long double t_squared =
+      std::log(1.0L / 0.05L) * static_cast<long double>(n);
+  std::size_t below = 0;
+  for (std::size_t j = 0; j < n / 2; ++j) {
+    long double re = 0.0L;
+    long double im = 0.0L;
+    std::size_t phase = 0;  // j * k mod n
+    for (std::size_t k = 0; k < n; ++k) {
+      const long double x = bits[k] ? 1.0L : -1.0L;
+      re += x * cosine[phase];
+      im -= x * sine[phase];
+      phase += j;
+      if (phase >= n) phase -= n;
+    }
+    if (re * re + im * im < t_squared) ++below;
+  }
+  return below;
+}
+
+TEST(Dft, MatchesDirectDftOracle) {
+  // 1000 is the gate edge; 1000, 1500 and 5000 truncate to 512, 1024 and
+  // 4096 bits.
+  for (const std::size_t size : {1000u, 1024u, 1500u, 4096u, 5000u}) {
+    std::size_t n = 1;
+    while (n * 2 <= size) n *= 2;
+    for (const double p_one : {0.5, 0.53}) {
+      const common::BitStream bits = biased_bits(size, p_one, 1000 + size);
+      const TestResult want =
+          detail::dft_result(direct_dft_below(bits, n), n);
+      const TestResult got = dft_test(bits);
+      ASSERT_TRUE(got.applicable) << size;
+      EXPECT_EQ(got.name, want.name);
+      EXPECT_EQ(got.p_values, want.p_values)
+          << "size " << size << ", P(1) " << p_one;
+    }
+  }
+}
+
+/// Sequence `index` (0-3) of the repository benchmark's battery workload
+/// for `seed` (perfbench/src/battery.cpp): 2^20 bits.
+common::BitStream battery_workload_sequence(std::uint64_t seed,
+                                            std::size_t index) {
+  constexpr std::size_t kWords = (std::size_t{1} << 20) / 64;
+  common::Xoshiro256StarStar rng(seed ^ 0xBA77E2ULL);
+  for (std::size_t w = 0; w < index * kWords; ++w) (void)rng.next();
+  common::BitStream b;
+  b.reserve(kWords * 64);
+  for (std::size_t w = 0; w < kWords; ++w) b.append_bits(rng.next(), 64);
+  return b;
+}
+
+TEST(Dft, PinnedPValuesAt2To20Bits) {
+  // Exact p-values of the statistic on the battery workload's sequences,
+  // minted with the earlier complex-FFT implementation: any transform must
+  // reproduce them bit for bit.
+  struct Pin {
+    std::uint64_t seed;
+    std::size_t index;
+    double p;
+  };
+  const Pin pins[] = {
+      {1, 0, 0.77017453942179159},  {1, 1, 0.36825872102391044},
+      {1, 2, 0.093075113527028547}, {1, 3, 0.23826271418605666},
+      {2, 0, 0.71731712894377031},  {3, 0, 0.83390157635556883},
+  };
+  for (const Pin& pin : pins) {
+    const TestResult r =
+        dft_test(battery_workload_sequence(pin.seed, pin.index));
+    ASSERT_EQ(r.p_values.size(), 1u);
+    EXPECT_EQ(r.p_values[0], pin.p)
+        << "seed " << pin.seed << ", sequence " << pin.index;
+  }
+  // The first pin is 498041 of the 2^19 bins below the threshold.
+  EXPECT_EQ(detail::dft_result(498041, std::size_t{1} << 20).p_values,
+            std::vector<double>{pins[0].p});
 }
 
 // ---- 2.7 / 2.8 templates ---------------------------------------------------
