@@ -5,9 +5,11 @@
 // reading one bit at a time: popcount for frequency/block-frequency,
 // `w ^ (w >> 1)` transition masks for runs, byte lookup tables and chunk
 // combining for longest-run/cumulative-sums, skip-ahead walks for the
-// excursions tests, packed L-bit window extraction (BitStream::word_at) for
-// serial/approximate-entropy/universal/templates, and a word-packed
-// Berlekamp–Massey for linear complexity.
+// excursions tests, packed window reads for universal and the overlapping
+// template, one sliding-window histogram per block for the non-overlapping
+// templates (exact because every template is aperiodic), one pattern-count
+// pass plus its marginals for serial/approximate-entropy, and a bitsliced
+// Berlekamp–Massey over 64 blocks at once for linear complexity.
 //
 // Contract: for any input the returned TestResult is bit-identical to the
 // scalar version — same p-value doubles, same applicable flag, same note.
@@ -54,11 +56,14 @@ TestResult cumulative_sums_test(const common::BitStream& bits,
 TestResult random_excursions_test(const common::BitStream& bits);
 TestResult random_excursions_variant_test(const common::BitStream& bits);
 
-/// Word-packed Berlekamp–Massey over bits [begin, begin + len): linear
-/// complexity of the block, identical to stat::berlekamp_massey on the same
-/// bits (helper, exposed for unit testing).
-std::size_t berlekamp_massey_words(const common::BitStream& bits,
-                                   std::size_t begin, std::size_t len);
+/// Bitsliced Berlekamp–Massey over `blocks` (at most 64) consecutive
+/// blocks: block b covers bits [(first_block + b) * block_len, +block_len),
+/// runs in bit lane b of every word, and its linear complexity is written
+/// to out[b] — identical to stat::berlekamp_massey on the same bits (helper,
+/// exposed for the equivalence suite).
+void berlekamp_massey_lanes(const common::BitStream& bits,
+                            std::size_t first_block, std::size_t blocks,
+                            std::size_t block_len, std::size_t* out);
 
 /// Bitsliced GF(2) rank of `nrows` packed matrix rows (row r's column j at
 /// rows[r] bit j, as the rank test packs them): pivot-insertion row echelon

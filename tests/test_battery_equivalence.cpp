@@ -7,13 +7,19 @@
 // it in sync with the kernel list.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <iterator>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "battery_workload.hpp"
 #include "common/rng.hpp"
 #include "core/source_registry.hpp"
 #include "fpga/fabric.hpp"
+#include "server/sha256.hpp"
 #include "stattests/battery.hpp"
 #include "stattests/sp800_22.hpp"
 #include "stattests/sp800_22_wordpar.hpp"
@@ -142,28 +148,202 @@ TEST(BatteryEquivalence, SpecExampleGating) {
       wordpar::approximate_entropy_test(bits, 3, Gating::kSpecExample));
 }
 
-TEST(BatteryEquivalence, BerlekampMasseyWords) {
-  const auto bits = random_bits(5000, 11);
-  for (const std::size_t begin : {0u, 1u, 63u, 64u, 100u}) {
-    for (const std::size_t len : {1u, 2u, 64u, 129u, 500u, 1000u}) {
-      SCOPED_TRACE(begin);
-      SCOPED_TRACE(len);
-      std::vector<bool> block;
-      block.reserve(len);
-      for (std::size_t i = 0; i < len; ++i) block.push_back(bits[begin + i]);
-      EXPECT_EQ(berlekamp_massey(block),
-                wordpar::berlekamp_massey_words(bits, begin, len));
+/// Content of the blocks bm_blocks lays out.
+enum class BlockKind { kRandom, kZero, kTrailingOne, kLfsr, kSparse };
+
+/// Primitive trinomials x^L + x^a + 1: an LFSR with one of these and a
+/// nonzero state has linear complexity exactly L once 2L <= block length.
+struct Trinomial {
+  unsigned l;
+  unsigned a;
+};
+constexpr Trinomial kTrinomials[] = {{2, 1}, {3, 1}, {5, 2},  {7, 1},
+                                     {15, 1}, {17, 3}, {31, 3}};
+
+/// `count` blocks of `len` bits laid end to end, all of one content kind;
+/// LFSR block k uses trinomial k mod 7.
+common::BitStream bm_blocks(BlockKind kind, std::size_t len,
+                            std::size_t count, std::uint64_t seed) {
+  common::Xoshiro256StarStar rng(seed);
+  common::BitStream b;
+  b.reserve(len * count);
+  for (std::size_t k = 0; k < count; ++k) {
+    const Trinomial poly = kTrinomials[k % std::size(kTrinomials)];
+    std::vector<bool> state;
+    for (std::size_t i = 0; i < len; ++i) {
+      bool bit = false;
+      switch (kind) {
+        case BlockKind::kRandom: bit = (rng.next() & 1) != 0; break;
+        case BlockKind::kZero: break;
+        case BlockKind::kTrailingOne: bit = i + 1 == len; break;
+        case BlockKind::kLfsr:
+          // s_0 = 1 keeps the state nonzero; s_{t+L} = s_{t+a} + s_t.
+          bit = i < poly.l ? (i == 0 || (rng.next() & 1) != 0)
+                           : state[i - poly.l + poly.a] != state[i - poly.l];
+          break;
+        case BlockKind::kSparse: bit = (rng.next() >> 58) == 0; break;
+      }
+      state.push_back(bit);
+      b.push_back(bit);
     }
   }
-  // Degenerate blocks: all zeros (L = 0) and a single trailing one.
-  common::BitStream zeros;
-  for (int i = 0; i < 200; ++i) zeros.push_back(false);
-  EXPECT_EQ(wordpar::berlekamp_massey_words(zeros, 0, 200), 0u);
-  zeros.push_back(true);
-  std::vector<bool> trailing_one(201, false);
-  trailing_one[200] = true;
-  EXPECT_EQ(wordpar::berlekamp_massey_words(zeros, 0, 201),
-            berlekamp_massey(trailing_one));
+  return b;
+}
+
+TEST(BatteryEquivalence, BerlekampMasseyWords) {
+  // berlekamp_massey_lanes against the scalar berlekamp_massey, block by
+  // block: word-boundary and spec lengths, partial and full lane groups
+  // (1, 5, 63, 64) and a 70-block run split into groups the way
+  // linear_complexity_test splits it, over random, all-zero, single
+  // trailing one, LFSR (known L) and sparse content. Long blocks use fewer
+  // lanes to keep the O(len^2) scalar oracle affordable.
+  const BlockKind kinds[] = {BlockKind::kRandom, BlockKind::kZero,
+                             BlockKind::kTrailingOne, BlockKind::kLfsr,
+                             BlockKind::kSparse};
+  for (const std::size_t len :
+       {1u, 2u, 63u, 64u, 65u, 129u, 500u, 777u, 1000u, 5000u}) {
+    const std::size_t count = len <= 1000 ? 70 : 6;
+    for (const BlockKind kind : kinds) {
+      SCOPED_TRACE("len " + std::to_string(len) + ", kind " +
+                   std::to_string(static_cast<int>(kind)));
+      const auto bits = bm_blocks(kind, len, count, len * 131 + count);
+      std::vector<std::size_t> want(count);
+      std::vector<bool> block(len);
+      for (std::size_t k = 0; k < count; ++k) {
+        for (std::size_t i = 0; i < len; ++i) block[i] = bits[k * len + i];
+        want[k] = berlekamp_massey(block);
+        if (kind == BlockKind::kLfsr) {
+          const unsigned l = kTrinomials[k % std::size(kTrinomials)].l;
+          if (2 * l <= len) {
+            EXPECT_EQ(want[k], l) << "block " << k;
+          }
+        }
+      }
+      // Groups of 1, 5, 63 and 64 blocks, each starting at a nonzero
+      // block where the stream allows it.
+      for (const std::size_t group : {1u, 5u, 63u, 64u}) {
+        if (group > count) continue;
+        const std::size_t first = count - group;
+        std::vector<std::size_t> got(group, 99);
+        wordpar::berlekamp_massey_lanes(bits, first, group, len, got.data());
+        for (std::size_t k = 0; k < group; ++k) {
+          EXPECT_EQ(got[k], want[first + k])
+              << "group " << group << ", block " << first + k;
+        }
+      }
+      std::vector<std::size_t> got(count, 99);
+      for (std::size_t g = 0; g < count; g += 64) {
+        wordpar::berlekamp_massey_lanes(
+            bits, g, std::min<std::size_t>(64, count - g), len,
+            got.data() + g);
+      }
+      EXPECT_EQ(got, want);
+    }
+  }
+}
+
+TEST(BatteryEquivalence, NonOverlappingTemplateEveryLength) {
+  // The per-block window histogram against the scalar greedy scan for every
+  // template length the battery could use up to 12, at the gate's minimum
+  // length: random bits, bits stuffed with back-to-back and straddling
+  // copies of one template, and a period-3 stream.
+  for (unsigned m = 2; m <= 12; ++m) {
+    SCOPED_TRACE("tpl_len " + std::to_string(m));
+    const std::size_t n = 8 * ((std::size_t{20} << m) + m);
+    const auto templates = aperiodic_templates(m);
+    const std::uint32_t tpl = templates[templates.size() / 2];
+    common::Xoshiro256StarStar rng(m);
+    common::BitStream stuffed;
+    while (stuffed.size() < n) {
+      if (rng.next() & 1) {
+        for (unsigned j = m; j-- > 0;) stuffed.push_back((tpl >> j) & 1u);
+      } else {
+        for (std::uint64_t r = rng.next() % m + 1; r-- > 0;) {
+          stuffed.push_back((rng.next() & 1) != 0);
+        }
+      }
+    }
+    common::BitStream period3;
+    for (std::size_t i = 0; i < n; ++i) period3.push_back(i % 3 != 2);
+    for (const common::BitStream& bits :
+         {random_bits(n, 1000 + m), stuffed.slice(0, n), period3}) {
+      const TestResult ref = non_overlapping_template_test(bits, m);
+      EXPECT_TRUE(ref.applicable);
+      expect_identical(ref, wordpar::non_overlapping_template_test(bits, m));
+    }
+  }
+}
+
+/// SHA-256 over the p-values' IEEE-754 bit patterns (little-endian), as hex:
+/// a bit-exact digest for tests with too many p-values to list.
+std::string p_value_digest(const std::vector<double>& p_values) {
+  server::Sha256 sha;
+  for (const double p : p_values) {
+    const auto w = std::bit_cast<std::uint64_t>(p);
+    std::uint8_t b[8];
+    for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(w >> (8 * i));
+    sha.update(b, sizeof(b));
+  }
+  std::uint8_t d[server::Sha256::kDigestBytes];
+  sha.final(d);
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out;
+  for (const std::uint8_t v : d) {
+    out += kHex[v >> 4];
+    out += kHex[v & 0xF];
+  }
+  return out;
+}
+
+TEST(BatteryEquivalence, PinnedPatternPValuesAt2To20Bits) {
+  // Exact p-values of the pattern kernels on the battery workload's
+  // sequences, minted with the per-block Berlekamp–Massey, the per-template
+  // match-mask scan and separate pattern-count passes per window length:
+  // any rewrite of these kernels must reproduce them bit for bit. The
+  // template test's 148 p-values are pinned by digest.
+  struct Pin {
+    std::uint64_t seed;
+    std::size_t index;
+    double linear_complexity;
+    double serial[2];
+    double approximate_entropy;
+    const char* non_overlapping_template_sha256;
+  };
+  const Pin pins[] = {
+      {1, 0, 0.89804840110870265, {0.93051960356474162, 0.79871806404910506},
+       0.94038015558023447,
+       "29bd7eca62ea732bfea30c6463f87b25b0ab8010e1fee87823c5e976c6725ec9"},
+      {1, 1, 0.61804269907688769, {0.80257440300766014, 0.621525235786483},
+       0.802361248765594,
+       "029145d2c91673cd446585efc81418ffff4fc48f15029e3cc109811b0480aa51"},
+      {1, 2, 0.5278781333823237, {0.19756816100861185, 0.078855281673057553},
+       0.97582555026397932,
+       "db399a36220f7d466d2eb9f73c1e226f213e835b10b0f4d997e782e74d9b0d27"},
+      {1, 3, 0.29116204814711111, {0.85014892251879315, 0.81504602635168966},
+       0.1352979085685703,
+       "00d768d6d2361a845b1e3b3115a7f14cd3e6c18c520bd31f8189accf6d1bd501"},
+      {2, 0, 0.80551646589392734, {0.71558685652621323, 0.66057782368253282},
+       0.1759340952644699,
+       "3a84b90e87a35eef9574480dc9c35267f6b5afaa71f79c36819c1ed1f45a657b"},
+      {3, 0, 0.91261356972900853, {0.15290501096939912, 0.040694755495787799},
+       0.5959676220510508,
+       "3d6f016d28748006c225f38d0884dbc256311fc4811980ad90dc4051c6d206cd"},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE("seed " + std::to_string(pin.seed) + ", sequence " +
+                 std::to_string(pin.index));
+    const auto bits = battery_workload_sequence(pin.seed, pin.index);
+    EXPECT_EQ(wordpar::linear_complexity_test(bits).p_values,
+              std::vector<double>{pin.linear_complexity});
+    EXPECT_EQ(wordpar::serial_test(bits).p_values,
+              (std::vector<double>{pin.serial[0], pin.serial[1]}));
+    EXPECT_EQ(wordpar::approximate_entropy_test(bits).p_values,
+              std::vector<double>{pin.approximate_entropy});
+    const TestResult tpl = wordpar::non_overlapping_template_test(bits);
+    EXPECT_EQ(tpl.p_values.size(), 148u);
+    EXPECT_EQ(p_value_digest(tpl.p_values),
+              pin.non_overlapping_template_sha256);
+  }
 }
 
 TEST(BatteryEquivalence, FrequencyAndRunsAtWordBoundaries) {

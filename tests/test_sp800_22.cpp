@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "battery_workload.hpp"
 #include "common/rng.hpp"
 #include "stattests/sp800_22.hpp"
 #include "stattests/sp800_22_detail.hpp"
@@ -242,19 +243,6 @@ TEST(Dft, MatchesDirectDftOracle) {
           << "size " << size << ", P(1) " << p_one;
     }
   }
-}
-
-/// Sequence `index` (0-3) of the repository benchmark's battery workload
-/// for `seed` (perfbench/src/battery.cpp): 2^20 bits.
-common::BitStream battery_workload_sequence(std::uint64_t seed,
-                                            std::size_t index) {
-  constexpr std::size_t kWords = (std::size_t{1} << 20) / 64;
-  common::Xoshiro256StarStar rng(seed ^ 0xBA77E2ULL);
-  for (std::size_t w = 0; w < index * kWords; ++w) (void)rng.next();
-  common::BitStream b;
-  b.reserve(kWords * 64);
-  for (std::size_t w = 0; w < kWords; ++w) b.append_bits(rng.next(), 64);
-  return b;
 }
 
 TEST(Dft, PinnedPValuesAt2To20Bits) {

@@ -951,7 +951,7 @@ class TypestateProtocols(Rule):
     # DRBG lifecycle (SP 800-90A): receivers are classified as DRBGs by
     # declared type or by the `drbg` naming convention; `fill_seed` is
     # the seeding gate whose bool failure result guards generate.
-    _DRBG_TYPES = ("HashDrbg", "HmacDrbg", "Drbg")
+    _DRBG_TYPES = ("HashDrbg", "Drbg")
     _DRBG_HINT = "drbg"
     _GATES = ("fill_seed",)
     # Quarantine admission state machine (mirrors QuarantinePolicy).
