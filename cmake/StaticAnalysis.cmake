@@ -42,10 +42,14 @@ set_tests_properties(trng_analyzer.selftest PROPERTIES
   LABELS "lint"
   SKIP_RETURN_CODE 77)
 
-# Benchmark regression tripwire: trng_bench.selftest proves the gate
-# trips on a perturbed baseline (always runs); trng_bench.diff compares a
-# fresh BENCH_throughput.json from this build tree against the committed
-# baseline and skips (exit 77) when perf_microbench has not been run.
+# Benchmark regression gate over perfbench records: trng_bench.selftest
+# proves the gate trips on every workload x end-to-end metric of the
+# committed baseline and refuses a foreign host (always runs);
+# trng_bench.diff compares the fresh record that
+#   python3 tools/bench_diff.py record --runs 5 \
+#       --out ${CMAKE_BINARY_DIR}/BENCH_throughput.json
+# writes against the committed baseline, and skips (exit 77) when no fresh
+# record exists or it comes from a different host.
 add_test(NAME trng_bench.selftest
   COMMAND ${Python3_EXECUTABLE} ${CMAKE_SOURCE_DIR}/tools/bench_diff.py
           --selftest --baseline ${CMAKE_SOURCE_DIR}/BENCH_throughput.json)

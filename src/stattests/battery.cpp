@@ -1,13 +1,74 @@
 #include "stattests/battery.hpp"
 
+#include <iterator>
 #include <stdexcept>
-#include <utility>
 
 #include "stattests/battery_executor.hpp"
 #include "stattests/sp800_22.hpp"
 #include "stattests/sp800_22_wordpar.hpp"
 
 namespace trng::stat {
+
+namespace {
+
+using Kernel = TestResult (*)(const common::BitStream&);
+
+// The fifteen tests in report order: the scalar reference kernel, its
+// word-parallel twin, and whether it is one of the heavyweight tests that
+// Options::include_slow gates. The wrappers bind each kernel's default
+// parameters so the table holds plain function pointers.
+struct BatteryTest {
+  const char* name;
+  Kernel scalar;
+  Kernel wordpar;
+  bool slow;
+};
+
+using Stream = common::BitStream;
+constexpr BatteryTest kTests[] = {
+    {"frequency", [](const Stream& b) { return frequency_test(b); },
+     [](const Stream& b) { return wordpar::frequency_test(b); }, false},
+    {"block_frequency", [](const Stream& b) { return block_frequency_test(b); },
+     [](const Stream& b) { return wordpar::block_frequency_test(b); }, false},
+    {"runs", [](const Stream& b) { return runs_test(b); },
+     [](const Stream& b) { return wordpar::runs_test(b); }, false},
+    {"longest_run", [](const Stream& b) { return longest_run_test(b); },
+     [](const Stream& b) { return wordpar::longest_run_test(b); }, false},
+    {"cumulative_sums", [](const Stream& b) { return cumulative_sums_test(b); },
+     [](const Stream& b) { return wordpar::cumulative_sums_test(b); }, false},
+    {"serial", [](const Stream& b) { return serial_test(b); },
+     [](const Stream& b) { return wordpar::serial_test(b); }, false},
+    {"approximate_entropy",
+     [](const Stream& b) { return approximate_entropy_test(b); },
+     [](const Stream& b) { return wordpar::approximate_entropy_test(b); },
+     false},
+    {"random_excursions",
+     [](const Stream& b) { return random_excursions_test(b); },
+     [](const Stream& b) { return wordpar::random_excursions_test(b); }, false},
+    {"random_excursions_variant",
+     [](const Stream& b) { return random_excursions_variant_test(b); },
+     [](const Stream& b) { return wordpar::random_excursions_variant_test(b); },
+     false},
+    {"rank", [](const Stream& b) { return rank_test(b); },
+     [](const Stream& b) { return wordpar::rank_test(b); }, true},
+    {"dft", [](const Stream& b) { return dft_test(b); },
+     [](const Stream& b) { return wordpar::dft_test(b); }, true},
+    {"non_overlapping_template",
+     [](const Stream& b) { return non_overlapping_template_test(b); },
+     [](const Stream& b) { return wordpar::non_overlapping_template_test(b); },
+     true},
+    {"overlapping_template",
+     [](const Stream& b) { return overlapping_template_test(b); },
+     [](const Stream& b) { return wordpar::overlapping_template_test(b); },
+     true},
+    {"universal", [](const Stream& b) { return universal_test(b); },
+     [](const Stream& b) { return wordpar::universal_test(b); }, true},
+    {"linear_complexity",
+     [](const Stream& b) { return linear_complexity_test(b); },
+     [](const Stream& b) { return wordpar::linear_complexity_test(b); }, true},
+};
+
+}  // namespace
 
 bool BatteryReport::all_passed(double alpha) const {
   // A report with zero applicable tests must not count as passing: the
@@ -48,82 +109,19 @@ BatteryReport TestBattery::run(const common::BitStream& bits) const {
   // Fixed test order; the executor stores results by job index, so the
   // report layout is identical across engines and thread schedules.
   std::vector<BatteryExecutor::Job> jobs;
-  jobs.reserve(options_.include_slow ? 15 : 9);
-  if (options_.engine == Engine::kScalar) {
-    jobs.push_back([&bits] { return frequency_test(bits); });
-    jobs.push_back([&bits] { return block_frequency_test(bits); });
-    jobs.push_back([&bits] { return runs_test(bits); });
-    jobs.push_back([&bits] { return longest_run_test(bits); });
-    jobs.push_back([&bits] { return cumulative_sums_test(bits); });
-    jobs.push_back([&bits] { return serial_test(bits); });
-    jobs.push_back([&bits] { return approximate_entropy_test(bits); });
-    jobs.push_back([&bits] { return random_excursions_test(bits); });
-    jobs.push_back([&bits] { return random_excursions_variant_test(bits); });
-    if (options_.include_slow) {
-      jobs.push_back([&bits] { return rank_test(bits); });
-      jobs.push_back([&bits] { return dft_test(bits); });
-      jobs.push_back([&bits] { return non_overlapping_template_test(bits); });
-      jobs.push_back([&bits] { return overlapping_template_test(bits); });
-      jobs.push_back([&bits] { return universal_test(bits); });
-      jobs.push_back([&bits] { return linear_complexity_test(bits); });
-    }
-  } else {
-    jobs.push_back([&bits] { return wordpar::frequency_test(bits); });
-    jobs.push_back([&bits] { return wordpar::block_frequency_test(bits); });
-    jobs.push_back([&bits] { return wordpar::runs_test(bits); });
-    jobs.push_back([&bits] { return wordpar::longest_run_test(bits); });
-    jobs.push_back([&bits] { return wordpar::cumulative_sums_test(bits); });
-    jobs.push_back([&bits] { return wordpar::serial_test(bits); });
-    jobs.push_back(
-        [&bits] { return wordpar::approximate_entropy_test(bits); });
-    jobs.push_back([&bits] { return wordpar::random_excursions_test(bits); });
-    jobs.push_back(
-        [&bits] { return wordpar::random_excursions_variant_test(bits); });
-    if (options_.include_slow) {
-      jobs.push_back([&bits] { return wordpar::rank_test(bits); });
-      jobs.push_back([&bits] { return wordpar::dft_test(bits); });
-      jobs.push_back(
-          [&bits] { return wordpar::non_overlapping_template_test(bits); });
-      jobs.push_back(
-          [&bits] { return wordpar::overlapping_template_test(bits); });
-      jobs.push_back([&bits] { return wordpar::universal_test(bits); });
-      jobs.push_back(
-          [&bits] { return wordpar::linear_complexity_test(bits); });
-    }
+  jobs.reserve(std::size(kTests));
+  for (const BatteryTest& t : kTests) {
+    if (t.slow && !options_.include_slow) continue;
+    const Kernel kernel =
+        options_.engine == Engine::kScalar ? t.scalar : t.wordpar;
+    jobs.push_back([kernel, &bits] { return kernel(bits); });
   }
-
-  BatteryReport report;
-  if (options_.engine == Engine::kThreaded) {
-    const BatteryExecutor executor(options_.threads);
-    report.results = executor.run(jobs);
-  } else {
-    report.results.reserve(jobs.size());
-    for (const auto& job : jobs) report.results.push_back(job());
-  }
-  return report;
+  return BatteryReport{BatteryExecutor(options_.threads).run(jobs)};
 }
 
 BatteryReport TestBattery::run(core::BitSource& source,
                                common::Bits nbits) const {
   return run(source.generate(nbits));
-}
-
-std::optional<unsigned> TestBattery::min_passing_np(const RawSource& source,
-                                                    common::Bits test_bits,
-                                                    unsigned max_np) const {
-  if (!source || test_bits < common::Bits{20000} || max_np == 0) {
-    throw std::invalid_argument("min_passing_np: bad arguments");
-  }
-  for (unsigned np = 1; np <= max_np; ++np) {
-    const common::BitStream raw = source(test_bits * np);
-    const BatteryReport report = run(raw.xor_fold(np));
-    // Vacuous reports (zero applicable tests — e.g. a source that returned
-    // far fewer bits than requested) never qualify: all_passed() rejects
-    // them, and the explicit check documents the intent here.
-    if (report.applicable_count() == 0) continue;
-    if (report.all_passed(options_.alpha)) return np;
-  }
-  return std::nullopt;
 }
 
 std::optional<unsigned> TestBattery::min_passing_np(core::BitSource& source,
@@ -135,6 +133,8 @@ std::optional<unsigned> TestBattery::min_passing_np(core::BitSource& source,
   for (unsigned np = 1; np <= max_np; ++np) {
     const common::BitStream raw = source.generate(test_bits * np);
     const BatteryReport report = run(raw.xor_fold(np));
+    // Vacuous reports (zero applicable tests) never qualify: all_passed()
+    // rejects them, and the explicit check documents the intent here.
     if (report.applicable_count() == 0) continue;
     if (report.all_passed(options_.alpha)) return np;
   }

@@ -5,11 +5,11 @@
 // The battery is a two-level parallel engine. Level 1 selects the counting
 // kernels: the bit-serial reference (sp800_22.hpp) or the word-parallel
 // kernels (sp800_22_wordpar.hpp), which are bit-identical by construction.
-// Level 2 optionally schedules the independent tests across a
-// BatteryExecutor thread pool. Every engine produces the same report.
+// Level 2 schedules the independent tests across a BatteryExecutor pool of
+// Options::threads workers (one thread runs them inline). Every engine and
+// thread count produces the same report.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -35,12 +35,11 @@ struct [[nodiscard]] BatteryReport {
 
 class TestBattery {
  public:
-  /// Kernel family / scheduling choice. All engines return bit-identical
-  /// reports (same p-value doubles); see sp800_22_wordpar.hpp.
+  /// Kernel family. Both engines return bit-identical reports (same
+  /// p-value doubles); see sp800_22_wordpar.hpp.
   enum class Engine {
-    kScalar,        ///< bit-serial reference kernels, run sequentially
-    kWordParallel,  ///< word-parallel kernels, run sequentially
-    kThreaded,      ///< word-parallel kernels across a BatteryExecutor pool
+    kScalar,        ///< bit-serial reference kernels (the oracle)
+    kWordParallel,  ///< word-parallel kernels
   };
 
   struct Options {
@@ -48,8 +47,9 @@ class TestBattery {
     /// Include the heavyweight tests (DFT, linear complexity, universal,
     /// templates). Disable for fast smoke runs.
     bool include_slow = true;
-    Engine engine = Engine::kThreaded;
-    /// Thread-pool size for Engine::kThreaded; 0 = hardware concurrency.
+    Engine engine = Engine::kWordParallel;
+    /// BatteryExecutor pool size: 1 runs the tests inline on the calling
+    /// thread, 0 = hardware concurrency.
     unsigned threads = 0;
   };
 
@@ -65,23 +65,13 @@ class TestBattery {
   /// and runs every test on them.
   BatteryReport run(core::BitSource& source, common::Bits nbits) const;
 
-  /// Streaming source of raw bits: invoked with a bit count, returns that
-  /// many fresh raw bits from the generator under test. Legacy adapter —
-  /// new code should pass a core::BitSource directly.
-  using RawSource = std::function<common::BitStream(common::Bits)>;
-
   /// The paper's n_NIST: smallest np in [1, max_np] such that the XOR-
   /// compressed output passes all applicable tests. Each candidate np
-  /// consumes test_bits * np fresh raw bits. Returns nullopt when even
+  /// draws test_bits * np fresh raw bits, batched, from `source` (which
+  /// must produce RAW, pre-compression bits). Returns nullopt when even
   /// max_np fails (Table 1 reports this as "> max_np"). A candidate whose
-  /// folded stream is too short for any test (a source returning fewer
-  /// bits than requested) is rejected, never accepted vacuously.
-  std::optional<unsigned> min_passing_np(const RawSource& source,
-                                         common::Bits test_bits,
-                                         unsigned max_np = 16) const;
-
-  /// BitSource form of the n_NIST search: raw bits are drawn batched from
-  /// `source` (which must produce RAW, pre-compression bits).
+  /// folded stream no test applies to is rejected, never accepted
+  /// vacuously.
   std::optional<unsigned> min_passing_np(core::BitSource& source,
                                          common::Bits test_bits,
                                          unsigned max_np = 16) const;

@@ -1,7 +1,11 @@
 // Unit tests for the battery runner and the n_NIST search.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "common/rng.hpp"
+#include "core/bit_source.hpp"
 #include "stattests/battery.hpp"
 
 namespace trng::stat {
@@ -14,6 +18,28 @@ common::BitStream random_bits(std::size_t n, std::uint64_t seed = 1) {
   for (std::size_t w = 0; w < n / 64 + 1; ++w) b.append_bits(rng.next(), 64);
   return b.slice(0, n);
 }
+
+// Test-local core::BitSource over a function from a bit count to a
+// BitStream. Bits the function does not supply read as zero, like the
+// zeroed tail words of the generate_into contract.
+template <class Fn>
+class FnSource final : public core::BitSource {
+ public:
+  explicit FnSource(Fn fn) : fn_(std::move(fn)) {}
+
+  void generate_into(std::uint64_t* words, common::Bits nbits) override {
+    const common::BitStream bits = fn_(nbits);
+    const std::size_t n = common::bits_to_words(nbits).count();
+    std::fill_n(words, n, 0);
+    std::copy_n(bits.words().begin(), std::min(n, bits.words().size()),
+                words);
+  }
+
+  core::SourceInfo info() const override { return {}; }
+
+ private:
+  Fn fn_;
+};
 
 TEST(TestResult, SinglePValuePassCriterion) {
   TestResult r;
@@ -96,14 +122,14 @@ TEST(TestBattery, VacuousReportDoesNotPass) {
 }
 
 TEST(TestBattery, MinPassingNpRejectsVacuousCandidates) {
-  // A broken source that ignores the requested count and always returns
-  // ~50 bits: every folded candidate is too short for any test, so the
-  // n_NIST search must return nullopt instead of accepting np = 1 on a
-  // report where nothing ran.
+  // A broken source that ignores the requested count and only ever
+  // supplies ~50 bits: the rest of every candidate reads as zeros, so the
+  // n_NIST search must return nullopt instead of accepting np = 1. (The
+  // report where nothing ran is VacuousReportDoesNotPass above.)
   TestBattery::Options opt;
   opt.include_slow = false;
   TestBattery battery(opt);
-  auto source = [](common::Bits) { return random_bits(50, 3); };
+  FnSource source([](common::Bits) { return random_bits(50, 3); });
   EXPECT_EQ(battery.min_passing_np(source, common::Bits{30000}, 4),
             std::nullopt);
 }
@@ -115,13 +141,13 @@ TEST(TestBattery, MinPassingNpFindsCompressionRate) {
   TestBattery::Options opt;
   opt.include_slow = false;
   TestBattery battery(opt);
-  auto source = [&rng](common::Bits count) {
+  FnSource source([&rng](common::Bits count) {
     common::BitStream b;
     for (std::size_t i = 0; i < count.count(); ++i) {
       b.push_back(rng.next_double() < 0.75);
     }
     return b;
-  };
+  });
   const auto np = battery.min_passing_np(source, common::Bits{60000}, 8);
   ASSERT_TRUE(np.has_value());
   EXPECT_GE(*np, 3u);
@@ -133,7 +159,7 @@ TEST(TestBattery, MinPassingNpIsOneForGoodSource) {
   TestBattery::Options opt;
   opt.include_slow = false;
   TestBattery battery(opt);
-  auto source = [&rng](common::Bits count) {
+  FnSource source([&rng](common::Bits count) {
     const std::size_t n = count.count();
     common::BitStream b;
     b.reserve(n + 64);
@@ -141,7 +167,7 @@ TEST(TestBattery, MinPassingNpIsOneForGoodSource) {
       b.append_bits(rng.next(), 64);
     }
     return b.slice(0, n);
-  };
+  });
   EXPECT_EQ(battery.min_passing_np(source, common::Bits{60000}, 8), 1u);
 }
 
@@ -150,21 +176,19 @@ TEST(TestBattery, MinPassingNpReturnsNulloptWhenHopeless) {
   TestBattery::Options opt;
   opt.include_slow = false;
   TestBattery battery(opt);
-  auto source = [](common::Bits count) {
+  FnSource source([](common::Bits count) {
     common::BitStream b;
     for (std::size_t i = 0; i < count.count(); ++i) b.push_back(true);
     return b;
-  };
+  });
   EXPECT_EQ(battery.min_passing_np(source, common::Bits{30000}, 4),
             std::nullopt);
 }
 
 TEST(TestBattery, MinPassingNpValidatesArguments) {
   TestBattery battery;
-  auto source = [](common::Bits) { return common::BitStream{}; };
+  FnSource source([](common::Bits) { return common::BitStream{}; });
   EXPECT_THROW(battery.min_passing_np(source, common::Bits{100}, 4),
-               std::invalid_argument);
-  EXPECT_THROW(battery.min_passing_np(nullptr, common::Bits{100000}, 4),
                std::invalid_argument);
   EXPECT_THROW(battery.min_passing_np(source, common::Bits{100000}, 0),
                std::invalid_argument);

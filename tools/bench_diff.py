@@ -1,180 +1,252 @@
 #!/usr/bin/env python3
-"""Benchmark regression tripwire over BENCH_throughput.json.
+"""Records and gates BENCH_throughput.json, the repository's speedup record.
 
-Compares a freshly measured BENCH_throughput.json against the committed
-baseline and fails when a headline metric regresses by more than the
-allowed fraction (default 25%). The headline metrics are the five
-numbers the ROADMAP perf items are tracked by:
+    python3 tools/bench_diff.py record --runs 5 --out BENCH_throughput.json
+    python3 tools/bench_diff.py --fresh build/BENCH_throughput.json
+    python3 tools/bench_diff.py --selftest     # prove the gate trips
 
-  - carry-chain-raw batched ns/bit      (lower is better)
-  - carry-k4 batched ns/bit             (lower is better)
-  - whole-battery word-parallel ns/bit  (lower is better)
-  - pool_draw paced speedup at the largest producer count
-                                        (higher is better)
-  - server_draw requests/s at the best client count
-                                        (higher is better)
+`record` runs `python3 perfbench/run.py --workload all --seconds S` k times
+(S is BENCHMARK.json's run_seconds), then once more with `--trace 1`, and
+reads the per-workload result files run.py leaves in its results
+directory. Per workload it writes the median and quartiles of every
+end-to-end metric BENCHMARK.json names, the attempted and failed
+operation counts, and the per-layer rows of the traced run, together with
+the host, commit, seed and run length. It writes nothing if any run exits
+non-zero or reports an incorrect output.
 
-The gate is deliberately loose: microbenchmarks on shared CI runners
-jitter, and a 25% band catches algorithmic regressions (a dropped
-batching path, a serialized battery) without flaking on scheduler noise.
-
-    python3 tools/bench_diff.py --baseline BENCH_throughput.json \
-        --fresh build/BENCH_throughput.json
-    python3 tools/bench_diff.py --selftest     # prove the tripwire trips
+The gate compares the medians of a fresh record against the committed
+baseline. Metric names, directions and bounds come from BENCHMARK.json: a
+workload x metric median worse than the baseline by more than its bound
+fails. Records from different hosts are not compared at all.
 
 Exit codes: 0 within budget, 1 regression (or malformed input), 2 usage
-error, 77 skip (no fresh measurement available — benches did not run).
+error, 77 skip (no fresh record, or it was measured on a different host).
 """
 
 from __future__ import annotations
 
 import argparse
 import copy
+import importlib.util
 import json
 import pathlib
+import statistics
+import subprocess
 import sys
 
 SKIP_EXIT = 77
-
-# The pool_draw headline key embeds the largest measured producer count
-# ("pool_draw paced speedup @ 16 producers"), which changes when the bench
-# fleet is re-run at a different sweep. compare() matches these keys by
-# prefix so a baseline from an @8 sweep still gates an @16 measurement
-# (and vice versa) instead of failing on the name.
-POOL_DRAW_PREFIX = "pool_draw paced speedup @"
+SEED = 1
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _get(d: dict, path: str):
-    """Dotted-path lookup; raises KeyError with the full path on miss."""
-    cur = d
-    for part in path.split("."):
-        if not isinstance(cur, dict) or part not in cur:
-            raise KeyError(path)
-        cur = cur[part]
-    return cur
+class RecordError(Exception):
+    pass
 
 
-def headline_metrics(doc: dict) -> dict[str, tuple[float, str]]:
-    """name -> (value, direction); direction is 'lower' or 'higher'."""
-    out: dict[str, tuple[float, str]] = {}
-
-    sources = doc.get("sources", [])
-    for source_id in ("carry-chain-raw", "carry-k4"):
-        row = next((s for s in sources if s.get("id") == source_id), None)
-        if row is None or "batched_ns_per_bit" not in row:
-            raise KeyError(f"sources[id={source_id}].batched_ns_per_bit")
-        out[f"{source_id} batched ns/bit"] = (
-            float(row["batched_ns_per_bit"]), "lower")
-
-    out["whole-battery wordpar ns/bit"] = (
-        float(_get(doc, "battery.whole_battery.wordpar_ns_per_bit")),
-        "lower")
-
-    rows = _get(doc, "pool_draw.paced.rows")
-    if not rows:
-        raise KeyError("pool_draw.paced.rows")
-    top = max(rows, key=lambda r: r.get("producers", 0))
-    out[f"pool_draw paced speedup @ {top['producers']} producers"] = (
-        float(top["speedup_vs_1"]), "higher")
-
-    server_rows = _get(doc, "server_draw.rows")
-    if not server_rows:
-        raise KeyError("server_draw.rows")
-    best = max(server_rows, key=lambda r: r.get("requests_per_s", 0.0))
-    out["server_draw requests/s"] = (
-        float(best["requests_per_s"]), "higher")
-    return out
+def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
 
 
-def compare(baseline: dict, fresh: dict,
-            max_regression: float) -> list[str]:
-    """Human-readable report lines; lines starting with FAIL are
-    regressions beyond the budget."""
-    base_metrics = headline_metrics(baseline)
-    fresh_metrics = headline_metrics(fresh)
+def results_dir() -> pathlib.Path:
+    """The directory perfbench/run.py writes its per-run result files to,
+    taken from run.py itself so the path is decided in one place."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", REPO / "perfbench" / "run.py")
+    run_py = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_py)
+    return run_py.build_dir(REPO) / "results"
+
+
+def perfbench_run(spec: dict, trace: int) -> dict[str, dict]:
+    """One `run.py --workload all` pass; returns workload -> result file."""
+    out = results_dir()
+    paths = {w["name"]: out / f"{w['name']}-seed{SEED}-trace{trace}.json"
+             for w in spec["workloads"]}
+    for path in paths.values():
+        path.unlink(missing_ok=True)
+    cmd = [sys.executable, "perfbench/run.py", "--workload", "all",
+           "--seed", str(SEED), "--seconds", str(spec["run_seconds"]),
+           "--trace", str(trace)]
+    p = subprocess.run(cmd, cwd=REPO, stdout=subprocess.PIPE, text=True)
+    if p.returncode != 0:
+        sys.stderr.write(p.stdout[-4000:])
+        raise RecordError(f"{' '.join(cmd)} exited {p.returncode}")
+    results = {}
+    for name, path in paths.items():
+        if not path.is_file():
+            raise RecordError(f"run.py wrote no result file {path}")
+        r = json.loads(path.read_text(encoding="utf-8"))
+        if r.get("correct") is not True:
+            raise RecordError(f"{name}: output checks failed {r['checks']}")
+        results[name] = r
+    return results
+
+
+def summarise(spec: dict, runs: list[dict[str, dict]],
+              traced: dict[str, dict]) -> dict:
+    """The record from k untraced passes and one traced pass."""
+    first = runs[0][spec["workloads"][0]["name"]]
+    for results in runs + [traced]:
+        for name, r in results.items():
+            if r["host"] != first["host"]:
+                raise RecordError(f"{name}: host changed between runs: "
+                                  f"{first['host']} vs {r['host']}")
+    workloads = {}
+    for w in spec["workloads"]:
+        name = w["name"]
+        end_to_end = {}
+        for m in spec["end_to_end"]:
+            values = [r[name]["metrics"][m["name"]]["value"] for r in runs]
+            end_to_end[m["name"]] = {"unit": m["unit"], **quartiles(values),
+                                     "values": values}
+        workloads[name] = {
+            "attempted": sum(r[name]["attempted"] for r in runs),
+            "failed": sum(r[name]["failed"] for r in runs),
+            "end_to_end": end_to_end,
+            "per_layer": traced[name]["layers"],
+        }
+    return {
+        "benchmark": "perfbench/run.py --workload all",
+        "commit": first["commit"],
+        "host": first["host"],
+        "seed": SEED,
+        "seconds": spec["run_seconds"],
+        "runs": len(runs),
+        "workloads": workloads,
+    }
+
+
+def record(spec: dict, runs: int, out: pathlib.Path) -> int:
+    try:
+        passes = []
+        for i in range(runs):
+            print(f"bench_diff record: run {i + 1}/{runs}", flush=True)
+            passes.append(perfbench_run(spec, trace=0))
+        print("bench_diff record: traced run", flush=True)
+        doc = summarise(spec, passes, perfbench_run(spec, trace=1))
+    except (RecordError, OSError, KeyError, json.JSONDecodeError) as exc:
+        print(f"bench_diff record: {exc}; no file written", file=sys.stderr)
+        return 1
+    out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n",
+                   encoding="utf-8")
+    print(f"bench_diff record: wrote {out}")
+    return 0
+
+
+def compare(spec: dict, baseline: dict, fresh: dict) -> tuple[int, list]:
+    """(exit code, report lines). Lines starting with FAIL are regressions
+    beyond a bound or missing metrics; a host mismatch compares nothing."""
+    if baseline["host"] != fresh["host"]:
+        return SKIP_EXIT, [
+            "REFUSED: the records come from different hosts",
+            f"  baseline host: {json.dumps(baseline['host'], sort_keys=True)}",
+            f"  fresh host:    {json.dumps(fresh['host'], sort_keys=True)}",
+            "  regenerate the baseline on this host and log it in CHANGES.md"]
     lines = []
-    for name, (base_value, direction) in base_metrics.items():
-        fresh_name = name
-        if name not in fresh_metrics and name.startswith(POOL_DRAW_PREFIX):
-            fresh_name = next(
-                (k for k in fresh_metrics if k.startswith(POOL_DRAW_PREFIX)),
-                name)
-        if fresh_name not in fresh_metrics:
-            lines.append(f"FAIL {name}: missing from fresh measurement")
-            continue
-        fresh_value = fresh_metrics[fresh_name][0]
-        if fresh_name != name:
-            name = f"{name} (fresh: {fresh_name})"
-        if base_value <= 0:
-            lines.append(f"SKIP {name}: non-positive baseline "
-                         f"{base_value}")
-            continue
-        if direction == "lower":
-            change = (fresh_value - base_value) / base_value
-            arrow = "slower" if change > 0 else "faster"
-        else:
-            change = (base_value - fresh_value) / base_value
-            arrow = "worse" if change > 0 else "better"
-        verdict = "FAIL" if change > max_regression else "ok"
-        lines.append(
-            f"{verdict:>4} {name}: baseline {base_value:g}, fresh "
-            f"{fresh_value:g} ({abs(change) * 100:.1f}% {arrow}, budget "
-            f"{max_regression * 100:.0f}%)")
-    return lines
+    for w in spec["workloads"]:
+        for m in spec["end_to_end"]:
+            pair = f"{w['name']}/{m['name']}"
+            try:
+                base = baseline["workloads"][w["name"]]["end_to_end"][
+                    m["name"]]["median"]
+                new = fresh["workloads"][w["name"]]["end_to_end"][
+                    m["name"]]["median"]
+            except (KeyError, TypeError):
+                lines.append(f"FAIL {pair}: missing from a record")
+                continue
+            if not base > 0:
+                lines.append(f"FAIL {pair}: non-positive baseline {base}")
+                continue
+            if m["better"] == "lower":
+                change = (new - base) / base
+            else:
+                change = (base - new) / base
+            verdict = "FAIL" if change > m["bound"] else "ok"
+            lines.append(
+                f"{verdict:>4} {pair}: baseline {base:g}, fresh {new:g} "
+                f"{m['unit']} ({abs(change) * 100:.1f}% "
+                f"{'worse' if change > 0 else 'better'}, bound "
+                f"{m['bound'] * 100:.0f}%)")
+    failed = any(line.startswith("FAIL") for line in lines)
+    return (1 if failed else 0), lines
 
 
-def selftest(baseline: dict, max_regression: float) -> int:
-    """Proves the tripwire trips: a copy of the baseline perturbed past
-    the budget must FAIL on every headline metric, and an unperturbed
-    copy must pass. Runs in-memory; no files are written."""
-    clean = compare(baseline, copy.deepcopy(baseline), max_regression)
-    if any(line.startswith("FAIL") for line in clean):
-        print("bench_diff selftest: identical inputs reported a "
-              "regression:", file=sys.stderr)
-        print("\n".join(clean), file=sys.stderr)
+def selftest(spec: dict, baseline: dict) -> int:
+    """Proves the gate works on the baseline itself, in memory: an identical
+    copy passes; a copy with one workload x metric pushed past its bound in
+    its worse direction fails on exactly that pair, for every pair; a copy
+    from another host is refused."""
+    code, lines = compare(spec, baseline, copy.deepcopy(baseline))
+    if code != 0:
+        print("bench_diff selftest: identical records did not pass:",
+              file=sys.stderr)
+        print("\n".join(lines), file=sys.stderr)
         return 1
 
-    bad = copy.deepcopy(baseline)
-    factor = 1.0 + 2 * max_regression
-    for source_id in ("carry-chain-raw", "carry-k4"):
-        row = next(s for s in bad["sources"] if s["id"] == source_id)
-        row["batched_ns_per_bit"] *= factor
-    bad["battery"]["whole_battery"]["wordpar_ns_per_bit"] *= factor
-    top = max(bad["pool_draw"]["paced"]["rows"],
-              key=lambda r: r["producers"])
-    top["speedup_vs_1"] /= factor
-    for row in bad["server_draw"]["rows"]:
-        row["requests_per_s"] /= factor
+    pairs = [(w["name"], m) for w in spec["workloads"]
+             for m in spec["end_to_end"]]
+    for workload, m in pairs:
+        pair = f"{workload}/{m['name']}"
+        bad = copy.deepcopy(baseline)
+        row = bad["workloads"][workload]["end_to_end"][m["name"]]
+        factor = 1.0 + 2 * m["bound"]
+        row["median"] *= factor if m["better"] == "lower" else 1 / factor
+        code, lines = compare(spec, baseline, bad)
+        failed = [line for line in lines if line.startswith("FAIL")]
+        if code != 1 or len(failed) != 1 or f" {pair}:" not in failed[0]:
+            print(f"bench_diff selftest: perturbing {pair} did not fail on "
+                  f"exactly that pair:", file=sys.stderr)
+            print("\n".join(lines), file=sys.stderr)
+            return 1
 
-    tripped = compare(baseline, bad, max_regression)
-    n_fail = sum(1 for line in tripped if line.startswith("FAIL"))
-    if n_fail != 5:
-        print(f"bench_diff selftest: perturbed run tripped {n_fail}/5 "
-              f"metrics:", file=sys.stderr)
-        print("\n".join(tripped), file=sys.stderr)
+    foreign = copy.deepcopy(baseline)
+    foreign["host"]["cpu_model"] = "another host"
+    code, lines = compare(spec, baseline, foreign)
+    if code != SKIP_EXIT or any(line.lstrip().startswith("ok")
+                                for line in lines):
+        print("bench_diff selftest: a record from another host was "
+              "compared:", file=sys.stderr)
+        print("\n".join(lines), file=sys.stderr)
         return 1
-    print("bench_diff selftest: OK (identical passes, perturbed trips "
-          "all 5 headline metrics)")
+    print(f"bench_diff selftest: OK (identical passes, perturbing each of "
+          f"{len(pairs)} workload x metric pairs trips exactly that pair, "
+          f"a foreign host is refused)")
     return 0
 
 
 def main(argv: list[str]) -> int:
-    repo = pathlib.Path(__file__).resolve().parent.parent
     parser = argparse.ArgumentParser(
-        description="Benchmark regression gate over BENCH_throughput.json")
+        description="Record and gate BENCH_throughput.json from perfbench")
     parser.add_argument("--baseline", type=pathlib.Path,
-                        default=repo / "BENCH_throughput.json",
+                        default=REPO / "BENCH_throughput.json",
                         help="committed baseline (default: repo root)")
     parser.add_argument("--fresh", type=pathlib.Path, default=None,
-                        help="freshly measured BENCH_throughput.json; "
-                             "when absent or missing, exit 77 (skip)")
-    parser.add_argument("--max-regression", type=float, default=0.25,
-                        help="allowed fractional regression per headline "
-                             "metric (default: 0.25)")
+                        help="freshly recorded BENCH_throughput.json; when "
+                             "absent or missing, exit 77 (skip)")
     parser.add_argument("--selftest", action="store_true",
-                        help="verify the tripwire trips on a perturbed "
-                             "copy of the baseline, then exit")
+                        help="verify the gate on the baseline, then exit")
+    sub = parser.add_subparsers(dest="command")
+    rec = sub.add_parser("record", help="run perfbench and write a record")
+    rec.add_argument("--runs", type=int, default=5,
+                     help="untraced passes over every workload (default 5)")
+    rec.add_argument("--out", type=pathlib.Path, required=True,
+                     help="where to write the record")
     args = parser.parse_args(argv)
+
+    try:
+        spec = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"bench_diff: cannot read BENCHMARK.json: {exc}",
+              file=sys.stderr)
+        return 2
+
+    if args.command == "record":
+        if args.runs < 1:
+            parser.error("--runs must be at least 1")
+        return record(spec, args.runs, args.out)
 
     try:
         baseline = json.loads(args.baseline.read_text(encoding="utf-8"))
@@ -183,28 +255,21 @@ def main(argv: list[str]) -> int:
               file=sys.stderr)
         return 2
 
-    if args.selftest:
-        return selftest(baseline, args.max_regression)
-
-    if args.fresh is None or not args.fresh.is_file():
-        print("bench_diff: no fresh measurement (pass --fresh after "
-              "running perf_microbench); skipping", file=sys.stderr)
-        return SKIP_EXIT
     try:
+        if args.selftest:
+            return selftest(spec, baseline)
+        if args.fresh is None or not args.fresh.is_file():
+            print("bench_diff: no fresh record (write one with `bench_diff.py "
+                  "record --out <path>` and pass --fresh <path>); skipping",
+                  file=sys.stderr)
+            return SKIP_EXIT
         fresh = json.loads(args.fresh.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"bench_diff: cannot read fresh {args.fresh}: {exc}",
-              file=sys.stderr)
-        return 2
-
-    try:
-        lines = compare(baseline, fresh, args.max_regression)
-    except KeyError as exc:
-        print(f"bench_diff: missing headline metric {exc}",
-              file=sys.stderr)
+        code, lines = compare(spec, baseline, fresh)
+    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        print(f"bench_diff: malformed record: {exc!r}", file=sys.stderr)
         return 1
     print("\n".join(lines))
-    return 1 if any(line.startswith("FAIL") for line in lines) else 0
+    return code
 
 
 if __name__ == "__main__":
