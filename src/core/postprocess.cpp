@@ -5,27 +5,6 @@
 
 namespace trng::core {
 
-XorPostProcessor::XorPostProcessor(unsigned np) : np_(np) {
-  if (np == 0) {
-    throw std::invalid_argument("XorPostProcessor: np must be >= 1");
-  }
-}
-
-bool XorPostProcessor::feed(bool raw, bool& out) {
-  acc_ = acc_ != raw;
-  if (++fill_ == np_) {
-    out = acc_;
-    acc_ = false;
-    fill_ = 0;
-    return true;
-  }
-  return false;
-}
-
-common::BitStream XorPostProcessor::process(const common::BitStream& raw) const {
-  return raw.xor_fold(np_);
-}
-
 XorCompressedSource::XorCompressedSource(BitSource& source, unsigned np)
     : source_(&source), np_(np) {
   if (np == 0) {

@@ -3,8 +3,10 @@
 // XOR post-processing folds n_p consecutive raw bits into one output bit,
 // trading throughput (divided by n_p) for entropy-per-bit. The bias after
 // compression follows the piling-up lemma: b_pp = 2^(n_p - 1) * b^(n_p)
-// (Eq. 7). Von Neumann debiasing is included as an extension (perfectly
-// unbiased output for i.i.d. input at an irregular, input-dependent rate).
+// (Eq. 7). Whole streams fold with common::BitStream::xor_fold; any
+// BitSource folds through the XorCompressedSource decorator. Von Neumann
+// debiasing is included as an extension (perfectly unbiased output for
+// i.i.d. input at an irregular, input-dependent rate).
 #pragma once
 
 #include <cstdint>
@@ -15,27 +17,6 @@
 #include "core/bit_source.hpp"
 
 namespace trng::core {
-
-/// Streaming XOR compressor: feed raw bits, collect compressed bits.
-class XorPostProcessor {
- public:
-  /// `np` >= 1; np == 1 passes bits through unchanged.
-  explicit XorPostProcessor(unsigned np);
-
-  /// Feeds one raw bit; returns true when an output bit completed, in which
-  /// case `out` receives it.
-  bool feed(bool raw, bool& out);
-
-  /// Compresses a whole stream (drops a trailing partial group).
-  common::BitStream process(const common::BitStream& raw) const;
-
-  unsigned np() const { return np_; }
-
- private:
-  unsigned np_;
-  unsigned fill_ = 0;
-  bool acc_ = false;
-};
 
 /// BitSource decorator applying XOR compression to ANY source: each output
 /// bit is the XOR of np consecutive bits pulled (batched) from the inner

@@ -88,7 +88,7 @@ common::BitStream CarryChainTrng::generate_raw(common::Bits count) {
 common::BitStream CarryChainTrng::generate(common::Bits count) {
   if (count.is_zero()) return common::BitStream{};
   // count * np raw bits through the batched path, XOR-folded np -> 1: the
-  // same stream XorPostProcessor::feed produces bit by bit.
+  // same stream XorCompressedSource::next_bit produces bit by bit.
   return BitSource::generate(count * params_.np).xor_fold(params_.np);
 }
 

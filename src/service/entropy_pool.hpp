@@ -1,30 +1,29 @@
 // EntropyPool: the concurrent serving layer over the BitSource substrate.
 //
-//   producer 0: die-seeded source ──► health gate ──► ring 0 ─┐
-//   producer 1: die-seeded source ──► health gate ──► ring 1 ─┼─► sharded
-//   ...                                                       │   draw()
-//   producer N: die-seeded source ──► health gate ──► ring N ─┘
+//   producer 0: die-seeded source ──► health gate ──► ring 0 ──► shard 0
+//   producer 1: die-seeded source ──► health gate ──► ring 1 ──► shard 1
+//   ...                                                  draw_from_shard(i)
+//   producer N: die-seeded source ──► health gate ──► ring N ──► shard N
 //
 // Each producer owns an independent source (its own simulated die), runs
 // the batched generate_into path in blocks, screens every block through
 // the embedded online health tests, and only admitted blocks reach its
 // ring. A producer whose block trips the health gate is quarantined: its
 // output is discarded, its source deterministically reseeded, and it must
-// serve a clean probation before being re-admitted — the pool meanwhile
-// keeps serving from the surviving producers. Backpressure is symmetric:
-// full rings stall producers (push blocks), empty rings stall consumers
-// (draw blocks), and both stalls are metered.
+// serve a clean probation before being re-admitted — the other shards
+// meanwhile keep serving from their own producers. Each shard has one
+// consumer path, draw_from_shard, and backpressure is symmetric inside the
+// ring: a full ring stalls its producer (WordRing::push), an empty ring
+// stalls its consumer up to a deadline (WordRing::pop_until), and both
+// stalls are metered.
 //
-// Determinism guarantee: with a fixed seed and producers == 1, the drawn
-// word stream is bit-identical to the underlying source's generate_into
-// stream for as long as no block is rejected (a healthy source under the
-// configured gate). Multi-producer draws interleave rings in round-robin
-// shard order, so per-producer substreams remain deterministic while the
-// interleaving depends on thread timing.
+// Determinism guarantee: with a fixed seed, the words drawn from shard i
+// are bit-identical to producer i's source generate_into stream for as
+// long as no block is rejected (a healthy source under the configured
+// gate); with producers == 1 that is the whole pool's output.
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -70,26 +69,19 @@ class EntropyPool {
   void start();
 
   /// Closes the rings and joins the producers. Buffered words remain
-  /// drawable (draw drains them, then returns short). Idempotent.
+  /// drawable (draw_from_shard drains them, then returns short).
+  /// Idempotent.
   void stop();
-
-  /// Blocking draw: fills `words` with `nwords` packed words, taking them
-  /// from the producer rings in round-robin shard order. Returns the
-  /// number of words delivered — less than `nwords` only once the pool is
-  /// stopped and drained. Thread-safe (any number of consumers).
-  common::Words draw(std::uint64_t* words, common::Words nwords);
-
-  /// Non-blocking draw: delivers whatever is buffered right now, up to
-  /// `nwords`; returns the number of words delivered.
-  common::Words draw_nonblocking(std::uint64_t* words, common::Words nwords);
 
   /// Blocking draw confined to producer `shard`'s ring: delivers up to
   /// `nwords` words from that ring only, waiting at most `timeout_ns` for
-  /// them to arrive. Returns the number delivered — short on timeout or
-  /// once the pool is stopped and the ring drained. This is how the
-  /// server tier's per-shard DRBGs reseed: a quarantined producer starves
-  /// only its own shard's reseeds instead of the whole pool. Thread-safe.
-  /// Throws std::out_of_range on a bad shard index.
+  /// them to arrive (0 = whatever is buffered now). Returns the number
+  /// delivered — short on timeout or once the pool is stopped and the ring
+  /// drained. This is how the server tier's per-shard DRBGs reseed: a
+  /// quarantined producer starves only its own shard's reseeds instead of
+  /// the whole pool. Thread-safe: concurrent callers on one shard take
+  /// turns on its consumer stripe. Throws std::out_of_range on a bad
+  /// shard index.
   common::Words draw_from_shard(std::size_t shard, std::uint64_t* words,
                                 common::Words nwords,
                                 std::uint64_t timeout_ns);
@@ -108,55 +100,24 @@ class EntropyPool {
   WordRing& ring(std::size_t i) { return *rings_[i]; }
 
  private:
-  /// Sweeps the shards from a rotating start index and delivers whatever
-  /// is buffered, up to `nwords`. Two passes: a striped, non-blocking pass
-  /// that try-locks each shard's consumer stripe and steals from the next
-  /// shard when one is busy, then — only if nothing was delivered and a
-  /// stripe was skipped busy — a patient pass with blocking stripe locks,
-  /// so a caller whose wait predicate saw a nonempty ring cannot spin
-  /// against a stripe another consumer is mid-pop on.
-  common::Words drain_rings(std::uint64_t* words, common::Words nwords);
-
-  /// Pops up to `nwords` from ring `i` into `out` and updates that
-  /// producer's drawn/occupancy counters. Caller holds stripe_mu_[i]
-  /// (WordRing's pop side is single-consumer).
-  common::Words pop_shard_locked(std::size_t i, std::uint64_t* out,
-                                 common::Words nwords);
-
-  /// True when any producer ring has buffered words. Used as the condvar
-  /// wait predicate in draw(): together with `stopped_` it re-checks the
-  /// shared state the wait is about, so a notification can never be
-  /// consumed without the state change that prompted it being observed.
-  bool any_ring_nonempty() const;
-
   PoolConfig config_;
   Metrics metrics_;
   std::vector<std::unique_ptr<WordRing>> rings_;
   std::vector<std::unique_ptr<Producer>> producers_;
 
-  /// One consumer stripe lock per ring: WordRing's lock-free pop side is
+  /// One consumer stripe lock per ring: WordRing's pop side is
   /// single-consumer, so the pool serializes poppers per shard here
-  /// instead of inside the ring. Lock order: data_mu_ before any stripe,
+  /// instead of inside the ring. The stripe is held across the ring's
+  /// blocking wait, so lock order is stripe before the ring's own mutex,
   /// never the reverse; at most one stripe held at a time.
-  // trng-analyzer: lock-order(data_mu_, stripe_mu_)
+  // trng-analyzer: lock-order(stripe_mu_, WordRing::mu_)
   std::vector<std::unique_ptr<std::mutex>> stripe_mu_;
 
-  /// Round-robin fairness hint only: which ring a draw sweeps first.
-  /// Losing an increment shifts the start shard, nothing more.
-  // trng-analyzer: atomic(counter)
-  std::atomic<std::size_t> shard_cursor_{0};
-  /// One-way latches. exchange() (seq_cst) makes start/stop idempotent;
-  /// the draw path observes stopped_ with acquire loads so everything
-  /// stop() did before the latch flipped is visible to the drainer.
+  /// One-way latches. exchange() (seq_cst) makes start/stop idempotent.
   // trng-analyzer: atomic(flag)
   std::atomic<bool> started_{false};
   // trng-analyzer: atomic(flag)
   std::atomic<bool> stopped_{false};
-
-  /// Consumers wait here when every ring is empty; producers notify after
-  /// each admitted push (see draw() for the lost-wakeup argument).
-  std::mutex data_mu_;
-  std::condition_variable data_cv_;
 };
 
 }  // namespace trng::service

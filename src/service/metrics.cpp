@@ -114,8 +114,6 @@ std::string Metrics::snapshot_json() const {
   append_kv(out, "words_drawn", words_drawn.load(std::memory_order_relaxed));
   append_kv(out, "draw_wait_ns",
             draw_wait_ns.load(std::memory_order_relaxed));
-  append_kv(out, "nonblocking_shortfall_words",
-            nonblocking_shortfall_words.load(std::memory_order_relaxed));
   out += "\"draw_wait_us_histogram\": ";
   out += draw_wait_us.to_json();
   out += "}, \"producers\": [";

@@ -116,9 +116,7 @@ class Metrics {
   // trng-analyzer: atomic(counter)
   std::atomic<std::uint64_t> words_drawn{0};
   // trng-analyzer: atomic(counter)
-  std::atomic<std::uint64_t> draw_wait_ns{0};  ///< blocked, all rings empty
-  // trng-analyzer: atomic(counter)
-  std::atomic<std::uint64_t> nonblocking_shortfall_words{0};
+  std::atomic<std::uint64_t> draw_wait_ns{0};  ///< blocked on an empty ring
   /// Per-draw blocking wait, microseconds.
   Histogram draw_wait_us{{1, 10, 100, 1000, 10000, 100000, 1000000}};
 

@@ -100,7 +100,6 @@ bool Producer::step() {
       counters_.ring_words.store(occupancy.count(), std::memory_order_relaxed);
       counters_.ring_occupancy_pct.record(occupancy.count() * 100 /
                                           ring_.capacity().count());
-      if (on_admitted_ && !pushed.is_zero()) on_admitted_();
       if (pushed < nwords) return false;  // ring closed mid-push
       break;
     }

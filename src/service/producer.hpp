@@ -82,13 +82,6 @@ class Producer {
   /// start()) or the test harness calls it, never both.
   bool step();
 
-  /// Installs a callback invoked after every admitted push (the pool uses
-  /// it to wake consumers blocked on empty rings). Must be set before
-  /// start(); may be empty.
-  void set_admit_callback(std::function<void()> on_admitted) {
-    on_admitted_ = std::move(on_admitted);
-  }
-
   /// Spawns the worker thread (loops step() with optional pacing).
   void start();
 
@@ -121,7 +114,6 @@ class Producer {
   core::OnlineHealthMonitor monitor_;
   QuarantinePolicy policy_;
   std::vector<std::uint64_t> block_;
-  std::function<void()> on_admitted_;
 
   std::thread thread_;
   std::mutex stop_mu_;

@@ -1,6 +1,7 @@
 #include "service/ring_buffer.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 
@@ -44,6 +45,7 @@ common::Words WordRing::try_push(const std::uint64_t* words, common::Words n) {
     tail_.store(tail, std::memory_order_release);
     pushed += take;
   }
+  if (pushed > 0) wake();
   return common::Words{pushed};
 }
 
@@ -59,10 +61,8 @@ common::Words WordRing::push(const std::uint64_t* words, common::Words n,
       // Predicate overload: every wakeup re-checks the state this wait is
       // about — free space (head_ + capacity > tail_) or the close latch —
       // so a pusher can neither sleep through a close() nor hold a stale
-      // full-ring view. pop_some's empty critical section on mu_ before
-      // its notify makes the head_ advance visible to a waiter that
-      // evaluated this predicate just before the pop landed.
-      space_cv_.wait(lk, [&] {
+      // full-ring view (lost-wakeup argument in the header).
+      state_cv_.wait(lk, [&] {
         return closed_.load(std::memory_order_acquire) ||
                head_.load(std::memory_order_acquire) + cap >
                    tail_.load(std::memory_order_acquire);
@@ -101,16 +101,42 @@ common::Words WordRing::pop_some(std::uint64_t* out, common::Words n) {
     head_.store(head, std::memory_order_release);
     popped += take;
   }
-  if (popped > 0) {
-    // Lossless producer wakeup. A pusher that saw the ring full either
-    // (a) enters wait() before this thread takes mu_ — then the notify
-    // below reaches it, or (b) takes mu_ first — then its predicate
-    // re-evaluation is ordered after this thread's head_ store by the
-    // mutex hand-off and observes the freed space. An unlocked notify
-    // alone would leave a window between the pusher's predicate check and
-    // its sleep where this advance could be missed.
-    { std::lock_guard<std::mutex> lk(mu_); }
-    space_cv_.notify_all();
+  if (popped > 0) wake();
+  return common::Words{popped};
+}
+
+common::Words WordRing::pop_until(std::uint64_t* out, common::Words n,
+                                  std::uint64_t deadline_ns,
+                                  std::uint64_t* wait_ns) {
+  // One wait slice is capped so a saturated deadline cannot overflow the
+  // signed duration handed to wait_for; the loop re-arms until the
+  // deadline itself passes.
+  constexpr std::uint64_t kMaxSliceNs = std::uint64_t{1} << 62;
+  const std::size_t want = n.count();
+  std::size_t popped = pop_some(out, n).count();
+  while (popped < want) {
+    const std::uint64_t t0 = monotonic_ns();
+    if (t0 >= deadline_ns) break;
+    {
+      std::unique_lock<std::mutex> lk(mu_);
+      // Predicate overload: every wakeup re-checks the state this wait is
+      // about — buffered words or the close latch — so a consumer can
+      // neither sleep through a close() nor hold a stale empty-ring view
+      // (lost-wakeup argument in the header).
+      state_cv_.wait_for(
+          lk,
+          std::chrono::nanoseconds(std::min(deadline_ns - t0, kMaxSliceNs)),
+          [&] {
+            return closed_.load(std::memory_order_acquire) ||
+                   !size().is_zero();
+          });
+    }
+    if (wait_ns != nullptr) *wait_ns += monotonic_ns() - t0;
+    const common::Words got =
+        pop_some(out + popped, common::Words{want - popped});
+    popped += got.count();
+    // Closed and drained: nothing more can arrive.
+    if (got.is_zero() && closed_.load(std::memory_order_acquire)) break;
   }
   return common::Words{popped};
 }
@@ -126,11 +152,12 @@ common::Words WordRing::size() const {
 
 void WordRing::close() {
   closed_.store(true, std::memory_order_release);
-  // Empty critical section: same lossless-wakeup argument as pop_some —
-  // a pusher is either already in wait() (notified below) or re-checks
-  // its predicate after this mutex hand-off and sees the latch.
+  wake();
+}
+
+void WordRing::wake() {
   { std::lock_guard<std::mutex> lk(mu_); }
-  space_cv_.notify_all();
+  state_cv_.notify_all();
 }
 
 bool WordRing::closed() const {

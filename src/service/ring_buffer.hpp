@@ -1,16 +1,29 @@
-// Bounded lock-free SPSC FIFO ring of packed 64-bit words — one per pool
-// producer.
+// Bounded SPSC FIFO ring of packed 64-bit words — one per pool producer.
 //
 // The ring is the hand-off point between a producer thread (health-gated
-// blocks of generator output) and the pool's consumer side. The fast path
-// is lock-free: free-running 64-bit producer/consumer indices published
-// with release stores and read with acquire loads, so a batched push and a
-// batched pop can proceed concurrently without ever touching a mutex.
-// Blocking push (backpressure: the producer stalls rather than dropping or
-// overwriting entropy that consumers have not drawn yet) is a thin condvar
-// wrapper over the lock-free try_push core; pop never blocks — the pool's
-// draw() handles cross-ring waiting so a single slow ring cannot stall a
-// consumer that other rings could serve.
+// blocks of generator output) and the pool's consumer side. The index
+// protocol is lock-free: free-running 64-bit producer/consumer indices
+// published with release stores and read with acquire loads, so a batched
+// push and a batched pop proceed concurrently without either waiting for
+// the other. Both blocking waits live here, on one mutex and one condvar:
+// push parks while the ring is full (backpressure: the producer stalls
+// rather than dropping or overwriting entropy not drawn yet), pop_until
+// parks while it is empty (a consumer waits, up to a deadline, for its
+// shard's producer).
+//
+// Lost-wakeup argument (one for both directions). Every operation that
+// advances an index — try_push after tail_, pop_some after head_ — and
+// close() after the latch takes mu_ for an empty critical section and
+// then notify_all()s. A waiter evaluates its predicate under mu_, so
+// either (a) it is already inside wait() when the other side takes mu_,
+// and the notify reaches it, or (b) the other side's lock/unlock comes
+// first, and the mutex hand-off orders the index store before the
+// waiter's predicate, which then sees the new state and does not sleep.
+// An unlocked notify alone would leave a window between the predicate
+// check and the sleep where the advance could be missed. One condvar
+// serves both sides: the ring is SPSC and the pool holds a shard's
+// consumer stripe across pop_until, so at most one pusher and one popper
+// ever wait, and each side's notify is for the other.
 //
 // Memory-order argument (the SA006 `index-producer`/`index-consumer` roles
 // force every operation below to spell its order explicitly):
@@ -66,29 +79,45 @@ class WordRing {
   common::Words push(const std::uint64_t* words, common::Words n,
                      std::uint64_t* stall_ns);
 
-  /// Lock-free core of push: enqueues up to `n` words without blocking;
-  /// returns the number enqueued — short when the ring fills or is closed.
+  /// Non-blocking core of push: enqueues up to `n` words without waiting
+  /// for space; returns the number enqueued — short when the ring fills
+  /// or is closed. Wakes a consumer parked in pop_until.
   /// Single producer: at most one thread may push at a time.
   common::Words try_push(const std::uint64_t* words, common::Words n);
 
   /// Dequeues up to `n` words into `out` without blocking; returns the
-  /// number of words delivered (zero when empty).
+  /// number of words delivered (zero when empty). Wakes a blocked pusher.
   /// Single consumer: at most one thread may pop at a time (the pool
   /// serializes poppers per ring with a consumer stripe lock).
   common::Words pop_some(std::uint64_t* out, common::Words n);
+
+  /// Blocking counterpart of push: dequeues `n` words into `out`, waiting
+  /// while the ring is empty until monotonic_ns() reaches `deadline_ns`.
+  /// Returns the number of words delivered — less than `n` only when the
+  /// deadline passes or the ring is closed and drained. A deadline already
+  /// past delivers whatever is buffered. If `wait_ns` is non-null it is
+  /// incremented by the time spent blocked waiting for words.
+  /// Single consumer, as for pop_some.
+  common::Words pop_until(std::uint64_t* out, common::Words n,
+                          std::uint64_t deadline_ns, std::uint64_t* wait_ns);
 
   /// Words currently buffered (racy snapshot; never negative).
   common::Words size() const;
 
   common::Words capacity() const { return common::Words{buf_.size()}; }
 
-  /// Marks the ring closed and wakes any blocked pusher. Buffered words
-  /// remain drawable; further pushes return immediately.
+  /// Marks the ring closed and wakes both sides. Buffered words remain
+  /// drawable (pop_until drains them, then returns short); further pushes
+  /// return immediately.
   void close();
 
   bool closed() const;
 
  private:
+  /// Empty critical section on mu_, then notify_all (see the lost-wakeup
+  /// argument above).
+  void wake();
+
   std::vector<std::uint64_t> buf_;
 
   // ---- producer cache line ----
@@ -112,11 +141,11 @@ class WordRing {
   alignas(64) std::atomic<std::uint64_t> head_{0};
   std::uint64_t tail_seen_ = 0;  ///< consumer-confined snapshot of tail_
 
-  // ---- close latch + blocking-push plumbing (cold path) ----
+  // ---- close latch + blocking-wait plumbing (cold path) ----
   // trng-analyzer: atomic(flag)
   alignas(64) std::atomic<bool> closed_{false};
   std::mutex mu_;
-  std::condition_variable space_cv_;
+  std::condition_variable state_cv_;  ///< index advanced or ring closed
 };
 
 }  // namespace trng::service

@@ -11,7 +11,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -19,43 +18,15 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "core/source_registry.hpp"
-#include "service/entropy_pool.hpp"
+#include "pool_test_support.hpp"
+#include "service/clock.hpp"
 
 namespace {
 
 using namespace trng;
+using namespace trng::pool_test;
 using common::Bits;
 using common::Words;
-
-// Spin-polls `pred` with a sleep, bounded by a generous deadline so the
-// threaded tests stay robust on loaded single-core CI machines.
-bool eventually(const std::function<bool()>& pred,
-                std::chrono::seconds deadline = std::chrono::seconds(60)) {
-  const auto t_end = std::chrono::steady_clock::now() + deadline;
-  while (std::chrono::steady_clock::now() < t_end) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  return pred();
-}
-
-service::SourceFactory registry_factory(const std::string& id,
-                                        std::uint64_t die_seed_base) {
-  return [id, die_seed_base](std::size_t index, std::uint64_t seed) {
-    return core::make_die_seeded_source(id, die_seed_base + index, seed);
-  };
-}
-
-// A gate that a sane source never trips: assessed entropy so low that the
-// repetition cutoff (1 + ceil(20 / 0.05) = 401) and the proportion cutoff
-// are unreachable for any remotely balanced stream.
-service::ProducerConfig permissive_producer(std::size_t block_bits) {
-  service::ProducerConfig cfg;
-  cfg.block_bits = Bits{block_bits};
-  cfg.h_per_bit = 0.05;
-  return cfg;
-}
 
 // ---------------------------------------------------------------- WordRing
 
@@ -197,12 +168,63 @@ TEST(ServiceRing, CloseMidBatchPushReturnsPartialCount) {
   EXPECT_EQ(out, expect);
 }
 
+TEST(ServiceRing, PopUntilExpiredDeadlineReturnsShortAndMetersWait) {
+  service::WordRing ring(Words{8});
+  const std::uint64_t in[2] = {1, 2};
+  ASSERT_EQ(ring.push(in, Words{2}, nullptr), Words{2});
+
+  // A deadline already past delivers what is buffered without waiting.
+  std::uint64_t out[5] = {};
+  std::uint64_t wait_ns = 0;
+  EXPECT_EQ(ring.pop_until(out, Words{1}, 0, &wait_ns), Words{1});
+  EXPECT_EQ(out[0], 1u);
+  EXPECT_EQ(wait_ns, 0u);
+
+  // More than will ever arrive: the buffered word, then a metered wait
+  // that runs to the deadline.
+  const std::uint64_t deadline = service::monotonic_ns() + 2'000'000;
+  EXPECT_EQ(ring.pop_until(out, Words{5}, deadline, &wait_ns), Words{1});
+  EXPECT_EQ(out[0], 2u);
+  EXPECT_GT(wait_ns, 0u);
+  EXPECT_GE(service::monotonic_ns(), deadline);
+}
+
+TEST(ServiceRing, CloseWakesParkedPopUntilWhichDrainsThenReturnsShort) {
+  service::WordRing ring(Words{8});
+  const std::vector<std::uint64_t> in = {1, 2, 3};
+  ASSERT_EQ(ring.push(in.data(), Words{3}, nullptr), Words{3});
+
+  std::atomic<bool> returned{false};
+  std::uint64_t wait_ns = 0;
+  std::vector<std::uint64_t> out(8);
+  std::thread consumer([&] {
+    // Takes the 3 buffered words, then parks: nothing else will arrive.
+    out.resize(ring.pop_until(out.data(), Words{8}, kNoDeadline, &wait_ns)
+                   .count());
+    returned.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load()) << "pop_until returned with no deadline";
+  ring.close();
+  ASSERT_TRUE(eventually([&] { return returned.load(); }))
+      << "close() did not wake the parked consumer (lost wakeup)";
+  consumer.join();
+  EXPECT_EQ(out, in);
+  EXPECT_GT(wait_ns, 0u);
+  // Closed and drained: a further blocking pop returns at once.
+  EXPECT_EQ(ring.pop_until(out.data(), Words{1}, kNoDeadline, nullptr),
+            Words{0});
+}
+
 // ---------------------------------------------------------- WordRing stress
 
 // SPSC torture: one producer pushing a monotone word sequence through a
-// tiny ring, one consumer popping ragged chunks. Any missed release/
+// tiny ring, one consumer popping ragged chunks, alternating between the
+// spinning pop_some and the parking pop_until (whose requests often exceed
+// the whole ring, so both sides wait on each other). Any missed release/
 // acquire pairing shows up as a reordered/duplicated/lost word (and TSan
-// flags the unsynchronized buffer access under the tsan-service preset).
+// flags the unsynchronized buffer access under the tsan-service preset);
+// a lost wakeup hangs the test.
 TEST(ServiceRingStress, ConcurrentPushPopConservesWordsAndOrder) {
   constexpr std::uint64_t kTotal = 1 << 16;
   service::WordRing ring(Words{7});  // tiny + odd: constant wraps and stalls
@@ -222,13 +244,16 @@ TEST(ServiceRingStress, ConcurrentPushPopConservesWordsAndOrder) {
 
   std::uint64_t out[19];
   std::uint64_t expect = 0;
-  while (expect < kTotal) {
-    const std::size_t got =
-        ring.pop_some(out, Words{1 + expect % 19}).count();
-    for (std::size_t i = 0; i < got; ++i) {
+  for (std::size_t round = 0; expect < kTotal; ++round) {
+    const Words want{std::min<std::uint64_t>(1 + expect % 19, kTotal - expect)};
+    const Words got = round % 2 == 0
+                          ? ring.pop_some(out, want)
+                          : ring.pop_until(out, want, kNoDeadline, nullptr);
+    ASSERT_TRUE(round % 2 == 0 || got == want) << "pop_until short, open ring";
+    for (std::size_t i = 0; i < got.count(); ++i) {
       ASSERT_EQ(out[i], expect + i) << "lost/duplicated/reordered word";
     }
-    expect += got;
+    expect += got.count();
   }
   producer.join();
   EXPECT_EQ(ring.size(), Words{0});
@@ -465,14 +490,10 @@ TEST(ServiceProducer, ManualStepsAdmitBlocksAndFireCallback) {
       },
       /*stream_seed=*/7, cfg, ring, metrics.producer(0));
 
-  int admitted_callbacks = 0;
-  producer.set_admit_callback([&] { ++admitted_callbacks; });
-
   EXPECT_EQ(*factory_calls, 1);  // epoch-0 source built in the constructor
   EXPECT_TRUE(producer.step());
   EXPECT_TRUE(producer.step());
   EXPECT_EQ(*factory_calls, 1);  // healthy: no reseed
-  EXPECT_EQ(admitted_callbacks, 2);
   EXPECT_EQ(producer.state(), service::AdmitState::kHealthy);
 
   const auto& c = metrics.producer(0);
@@ -569,7 +590,8 @@ TEST(EntropyPool, SingleProducerDrawIsBitIdenticalToBatchedSource) {
   const std::size_t chunks[] = {1, 7, 64, 3, 125};
   std::size_t at = 0;
   for (std::size_t c : chunks) {
-    ASSERT_EQ(pool.draw(got.data() + at, Words{c}), Words{c});
+    ASSERT_EQ(pool.draw_from_shard(0, got.data() + at, Words{c}, kNoDeadline),
+              Words{c});
     at += c;
   }
   ASSERT_EQ(at, kWords);
@@ -593,24 +615,21 @@ TEST(EntropyPool, MultiProducerDrawDeliversAndAccounts) {
   service::EntropyPool pool(registry_factory("str-virtex", 60), cfg);
   pool.start();
 
+  // Draw from every shard in turn.
   std::vector<std::uint64_t> words(kWords);
   std::size_t at = 0;
-  while (at < kWords) {
+  for (std::size_t shard = 0; at < kWords; shard = (shard + 1) % kProducers) {
     const std::size_t chunk = std::min<std::size_t>(128, kWords - at);
-    ASSERT_EQ(pool.draw(words.data() + at, Words{chunk}), Words{chunk});
+    ASSERT_EQ(pool.draw_from_shard(shard, words.data() + at, Words{chunk},
+                                   kNoDeadline),
+              Words{chunk});
     at += chunk;
   }
-  // All producers got scheduled and contributed into their rings.
-  EXPECT_TRUE(eventually([&] {
-    for (std::size_t i = 0; i < kProducers; ++i) {
-      if (pool.metrics().producer(i).words_produced.load() == 0) return false;
-    }
-    return true;
-  }));
   pool.stop();
 
   // Conservation: pool-level drawn words == sum over producers, and no
-  // producer handed out more than it produced.
+  // producer handed out more than it produced (so every producer, having
+  // served its shard's draws in full, contributed).
   std::uint64_t per_producer_drawn = 0;
   for (std::size_t i = 0; i < kProducers; ++i) {
     const auto& c = pool.metrics().producer(i);
@@ -618,7 +637,7 @@ TEST(EntropyPool, MultiProducerDrawDeliversAndAccounts) {
     EXPECT_LE(c.words_drawn.load(), c.words_produced.load());
   }
   EXPECT_EQ(pool.metrics().words_drawn.load(), per_producer_drawn);
-  EXPECT_GE(pool.metrics().words_drawn.load(), kWords);
+  EXPECT_EQ(pool.metrics().words_drawn.load(), kWords);
 }
 
 TEST(EntropyPool, StopMakesDrawReturnShortAfterDraining) {
@@ -630,7 +649,8 @@ TEST(EntropyPool, StopMakesDrawReturnShortAfterDraining) {
   service::EntropyPool pool(registry_factory("str-virtex", 70), cfg);
   pool.start();
   std::vector<std::uint64_t> words(32);
-  ASSERT_EQ(pool.draw(words.data(), Words{32}), Words{32});
+  ASSERT_EQ(pool.draw_from_shard(0, words.data(), Words{32}, kNoDeadline),
+            Words{32});
   pool.stop();
 
   // Whatever is still buffered can be drained, then draws come back short
@@ -639,31 +659,14 @@ TEST(EntropyPool, StopMakesDrawReturnShortAfterDraining) {
   std::size_t total = 0;
   for (;;) {
     const std::size_t got =
-        pool.draw(rest.data(), Words{rest.size()}).count();
+        pool.draw_from_shard(0, rest.data(), Words{rest.size()}, kNoDeadline)
+            .count();
     total += got;
     if (got < rest.size()) break;
   }
   EXPECT_LE(total, cfg.ring_capacity_words.count());
   std::uint64_t one;
-  EXPECT_EQ(pool.draw(&one, Words{1}), Words{0});
-}
-
-TEST(EntropyPool, NonblockingDrawDeliversBufferedWordsOnly) {
-  service::PoolConfig cfg;
-  cfg.producers = 1;
-  cfg.producer = permissive_producer(512);
-  cfg.ring_capacity_words = Words{64};
-
-  service::EntropyPool pool(registry_factory("str-virtex", 80), cfg);
-  // Not started: nothing buffered, shortfall is metered.
-  std::vector<std::uint64_t> words(16);
-  EXPECT_EQ(pool.draw_nonblocking(words.data(), Words{16}), Words{0});
-  EXPECT_EQ(pool.metrics().nonblocking_shortfall_words.load(), 16u);
-
-  // Drive one block in by hand (512 bits = 8 words) and draw it out.
-  ASSERT_TRUE(pool.producer(0).step());
-  EXPECT_EQ(pool.draw_nonblocking(words.data(), Words{16}), Words{8});
-  EXPECT_EQ(pool.metrics().nonblocking_shortfall_words.load(), 16u + 8u);
+  EXPECT_EQ(pool.draw_from_shard(0, &one, Words{1}, kNoDeadline), Words{0});
 }
 
 TEST(EntropyPool, BackpressureStallsProducerAndIsMetered) {
@@ -679,79 +682,49 @@ TEST(EntropyPool, BackpressureStallsProducerAndIsMetered) {
 
   std::vector<std::uint64_t> words(8);
   ASSERT_TRUE(eventually([&] {
-    (void)pool.draw_nonblocking(words.data(), Words{words.size()});
+    (void)pool.draw_from_shard(0, words.data(), Words{words.size()}, 0);
     return pool.metrics().producer(0).stall_ns.load() > 0;
   }));
   pool.stop();
   EXPECT_GT(pool.metrics().producer(0).stall_ns.load(), 0u);
 }
 
-TEST(EntropyPool, ConcurrentConsumersSplitTheStreamWithoutLossOrDuplication) {
-  // Two consumer threads hammer draw() concurrently; conservation of words
-  // (pool tally == sum of per-producer tallies == words delivered) holds.
-  service::PoolConfig cfg;
-  cfg.producers = 2;
-  cfg.producer = permissive_producer(512);
-  cfg.ring_capacity_words = Words{128};
-
-  service::EntropyPool pool(registry_factory("str-virtex", 100), cfg);
-  pool.start();
-
-  constexpr std::size_t kPerConsumer = 512;
-  std::vector<std::uint64_t> got_a(kPerConsumer), got_b(kPerConsumer);
-  std::atomic<std::size_t> delivered{0};
-  auto consume = [&](std::uint64_t* out) {
-    std::size_t at = 0;
-    while (at < kPerConsumer) {
-      const std::size_t chunk = std::min<std::size_t>(64, kPerConsumer - at);
-      const std::size_t got = pool.draw(out + at, Words{chunk}).count();
-      at += got;
-      delivered.fetch_add(got);
-      if (got < chunk) break;  // stopped underneath us
-    }
-  };
-  std::thread consumer_a([&] { consume(got_a.data()); });
-  std::thread consumer_b([&] { consume(got_b.data()); });
-  consumer_a.join();
-  consumer_b.join();
-  pool.stop();
-
-  EXPECT_EQ(delivered.load(), 2 * kPerConsumer);
-  std::uint64_t per_producer_drawn = 0;
-  for (std::size_t i = 0; i < 2; ++i) {
-    per_producer_drawn += pool.metrics().producer(i).words_drawn.load();
-  }
-  EXPECT_EQ(pool.metrics().words_drawn.load(), per_producer_drawn);
-  EXPECT_EQ(per_producer_drawn, 2 * kPerConsumer);
-}
-
-// Heavier fan-out over the striped drain path: more consumers than shards
-// guarantees stripe contention, so the try-lock steal pass and the patient
-// second pass both run. Word conservation must survive the stealing.
+// Several consumers on one shard take turns on its stripe, each parking
+// in the ring's wait while holding it. Against the producer's stream
+// (producers == 1, a gate the source never trips) the words they deliver
+// together are exactly the stream's first words: none lost, none
+// delivered twice.
 TEST(EntropyPool, ManyConsumersStripedDrawConservesWords) {
   constexpr std::size_t kConsumers = 8;
   constexpr std::size_t kPerConsumer = 256;
+  constexpr std::size_t kTotal = kConsumers * kPerConsumer;
+  constexpr std::uint64_t kDieSeed = 105;
   service::PoolConfig cfg;
-  cfg.producers = 4;
+  cfg.producers = 1;
   cfg.producer = permissive_producer(512);
   cfg.ring_capacity_words = Words{64};
+  cfg.stream_seed_base = 4242;
 
-  service::EntropyPool pool(registry_factory("str-virtex", 105), cfg);
+  std::vector<std::uint64_t> expect(kTotal);
+  core::make_die_seeded_source("str-virtex", kDieSeed,
+                               common::SplitMix64(cfg.stream_seed_base).next())
+      ->generate_into(expect.data(), common::words_to_bits(Words{kTotal}));
+
+  service::EntropyPool pool(registry_factory("str-virtex", kDieSeed), cfg);
   pool.start();
 
+  std::vector<std::uint64_t> all(kTotal);  // consumer c fills slice c
   std::atomic<std::size_t> delivered{0};
   std::vector<std::thread> consumers;
-  consumers.reserve(kConsumers);
   for (std::size_t c = 0; c < kConsumers; ++c) {
     consumers.emplace_back([&, c] {
-      std::vector<std::uint64_t> out(kPerConsumer);
-      std::size_t at = 0;
-      while (at < kPerConsumer) {
-        const std::size_t chunk =
-            std::min<std::size_t>(1 + c * 7 % 32, kPerConsumer - at);
-        const std::size_t got = pool.draw(out.data() + at, Words{chunk}).count();
-        at += got;
-        delivered.fetch_add(got);
+      std::uint64_t* out = all.data() + c * kPerConsumer;
+      for (std::size_t at = 0; at < kPerConsumer;) {
+        const Words chunk{
+            std::min<std::size_t>(1 + c * 7 % 32, kPerConsumer - at)};
+        const Words got = pool.draw_from_shard(0, out + at, chunk, kNoDeadline);
+        at += got.count();
+        delivered.fetch_add(got.count());
         if (got < chunk) break;  // stopped underneath us
       }
     });
@@ -759,15 +732,15 @@ TEST(EntropyPool, ManyConsumersStripedDrawConservesWords) {
   for (auto& t : consumers) t.join();
   pool.stop();
 
-  EXPECT_EQ(delivered.load(), kConsumers * kPerConsumer);
-  std::uint64_t per_producer_drawn = 0;
-  for (std::size_t i = 0; i < cfg.producers; ++i) {
-    const auto& c = pool.metrics().producer(i);
-    per_producer_drawn += c.words_drawn.load();
-    EXPECT_LE(c.words_drawn.load(), c.words_produced.load());
-  }
-  EXPECT_EQ(pool.metrics().words_drawn.load(), per_producer_drawn);
-  EXPECT_EQ(per_producer_drawn, kConsumers * kPerConsumer);
+  EXPECT_EQ(delivered.load(), kTotal);
+  const auto& c = pool.metrics().producer(0);
+  EXPECT_LE(c.words_drawn.load(), c.words_produced.load());
+  EXPECT_EQ(pool.metrics().words_drawn.load(), c.words_drawn.load());
+  EXPECT_EQ(c.words_drawn.load(), kTotal);
+
+  std::sort(all.begin(), all.end());
+  std::sort(expect.begin(), expect.end());
+  EXPECT_EQ(all, expect) << "striped consumers lost or duplicated words";
 }
 
 // The conditioner's reseed path rides draw_from_shard: it must deliver
@@ -807,7 +780,7 @@ TEST(EntropyPool, SnapshotJsonReflectsLiveCounters) {
   service::EntropyPool pool(registry_factory("str-virtex", 110), cfg);
   ASSERT_TRUE(pool.producer(0).step());
   std::vector<std::uint64_t> words(8);
-  ASSERT_EQ(pool.draw_nonblocking(words.data(), Words{8}), Words{8});
+  ASSERT_EQ(pool.draw_from_shard(0, words.data(), Words{8}, 0), Words{8});
 
   const std::string json = pool.metrics().snapshot_json();
   EXPECT_NE(json.find("\"schema\": \"trng.service.metrics.v1\""),
@@ -819,12 +792,12 @@ TEST(EntropyPool, SnapshotJsonReflectsLiveCounters) {
   EXPECT_NE(json.find("Cherkaoui"), std::string::npos);
 }
 
-// Regression for the lost-wakeup window the predicate-less
-// `data_cv_.wait(lk)` left open: a consumer that drained empty-handed and
-// was about to sleep could miss the only notify stop() would ever send and
-// block forever. The predicate overload re-checks `stopped_` and ring
-// occupancy on every wakeup, so a stop() that lands at any point around
-// the wait must still let the draw return short.
+// Regression for the lost-wakeup window a predicate-less condvar wait
+// leaves open: a consumer that drained empty-handed and was about to sleep
+// could miss the only notify stop() would ever send and block forever.
+// The ring's predicate wait re-checks the close latch and occupancy on
+// every wakeup, so a stop() that lands at any point around the wait must
+// still let the draw return short.
 TEST(EntropyPool, StopWhileConsumerIsParkedInDrawUnblocksIt) {
   service::PoolConfig cfg;
   cfg.producers = 1;
@@ -839,7 +812,8 @@ TEST(EntropyPool, StopWhileConsumerIsParkedInDrawUnblocksIt) {
   std::atomic<std::uint64_t> delivered{~std::uint64_t{0}};
   std::vector<std::uint64_t> words(16);
   std::thread consumer([&] {
-    delivered.store(pool.draw(words.data(), Words{16}).count());
+    delivered.store(
+        pool.draw_from_shard(0, words.data(), Words{16}, kNoDeadline).count());
     returned.store(true);
   });
 
@@ -874,7 +848,8 @@ TEST(EntropyPool, RepeatedStopDuringBlockedDrawNeverHangs) {
     std::thread consumer([&] {
       // Far more than the tight rings hold: forces park/wake cycles and
       // ends blocked in the wait when stop() truncates the stream.
-      (void)pool.draw(sink.data(), Words{sink.size()});
+      (void)pool.draw_from_shard(iter % 2, sink.data(), Words{sink.size()},
+                                 kNoDeadline);
       returned.store(true);
     });
 

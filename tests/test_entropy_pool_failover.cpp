@@ -3,7 +3,7 @@
 // against the bit rate at the k=1, tA=20ns working point). The embedded
 // online health tests trip on the locked/biased raw stream, the quarantine
 // policy takes the producer out of service and deterministically reseeds
-// it, the pool keeps serving from the surviving producer, and once the
+// it, the surviving producer's shard keeps serving in full, and once the
 // attack clears a clean reseed passes probation and is re-admitted.
 //
 // Suites are named EntropyPool* so the `tsan-service` ctest preset
@@ -11,21 +11,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "core/trng.hpp"
 #include "fpga/fabric.hpp"
-#include "service/entropy_pool.hpp"
+#include "pool_test_support.hpp"
+#include "service/clock.hpp"
 #include "sim/noise.hpp"
 
 namespace {
 
 using namespace trng;
+using namespace trng::pool_test;
 using common::Bits;
 using common::Words;
 
@@ -73,16 +72,6 @@ service::ProducerConfig gated_producer() {
   return cfg;
 }
 
-bool eventually(const std::function<bool()>& pred,
-                std::chrono::seconds deadline = std::chrono::seconds(120)) {
-  const auto t_end = std::chrono::steady_clock::now() + deadline;
-  while (std::chrono::steady_clock::now() < t_end) {
-    if (pred()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  return pred();
-}
-
 // One complete deterministic failover episode, driven block by block with
 // Producer::step() (no threads). Returns the counters that characterise
 // it, so the replay test can assert bit-for-bit reproducibility.
@@ -121,7 +110,7 @@ EpisodeTrace run_manual_episode() {
   std::vector<std::uint64_t> scratch(64);
   auto step_once = [&] {
     EXPECT_TRUE(producer.step());
-    (void)pool.draw_nonblocking(scratch.data(), Words{scratch.size()});
+    (void)pool.draw_from_shard(0, scratch.data(), Words{scratch.size()}, 0);
   };
 
   // Phase 1: under attack, the gate must trip and quarantine the source.
@@ -201,8 +190,10 @@ TEST(EntropyPoolFailover, PoolStaysAvailableAndReadmitsAfterAttackClears) {
 
   const auto& victim = pool.metrics().producer(1);
   std::vector<std::uint64_t> scratch(64);
-  auto drain = [&] {
-    return pool.draw_nonblocking(scratch.data(), Words{scratch.size()});
+  auto drain = [&] {  // timeout 0: whatever each shard holds right now
+    for (std::size_t shard = 0; shard < cfg.producers; ++shard) {
+      (void)pool.draw_from_shard(shard, scratch.data(), Words{64}, 0);
+    }
   };
 
   // The attack is detected: the victim gets quarantined at least once.
@@ -212,13 +203,25 @@ TEST(EntropyPoolFailover, PoolStaysAvailableAndReadmitsAfterAttackClears) {
     return victim.quarantines.load() > 0;
   })) << "victim was never quarantined";
 
-  // Availability: blocking draws complete in full while the victim is (or
-  // has been) out of service — the surviving producer carries the pool.
+  // Availability: the healthy shard's blocking draws complete in full
+  // while the victim is (or has been) out of service...
   std::vector<std::uint64_t> words(32);
   for (int i = 0; i < 5; ++i) {
-    ASSERT_EQ(pool.draw(words.data(), Words{words.size()}),
+    ASSERT_EQ(pool.draw_from_shard(0, words.data(), Words{words.size()},
+                                   kNoDeadline),
               Words{words.size()});
   }
+  // ...while a draw on the victim's shard for a full ring's worth comes
+  // back short at its 10 ms deadline, borrowing nothing from shard 0.
+  drain();
+  const std::uint64_t healthy_drawn = pool.metrics().producer(0).words_drawn;
+  std::vector<std::uint64_t> ring_full(cfg.ring_capacity_words.count());
+  const std::uint64_t t0 = service::monotonic_ns();
+  EXPECT_LT(pool.draw_from_shard(1, ring_full.data(), cfg.ring_capacity_words,
+                                 10'000'000),
+            cfg.ring_capacity_words);
+  EXPECT_GE(service::monotonic_ns() - t0, 10'000'000u);
+  EXPECT_EQ(pool.metrics().producer(0).words_drawn.load(), healthy_drawn);
 
   // The attack clears. The victim's next reseed builds a clean source,
   // which must then pass probation and return to healthy service.
@@ -236,9 +239,9 @@ TEST(EntropyPoolFailover, PoolStaysAvailableAndReadmitsAfterAttackClears) {
     (void)drain();
     return victim.blocks_admitted.load() > admitted_now;
   }));
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_EQ(pool.draw(words.data(), Words{words.size()}),
-              Words{words.size()});
+  for (int i = 0; i < 3; ++i) {  // the victim's shard serves in full again
+    ASSERT_EQ(pool.draw_from_shard(1, words.data(), Words{32}, 60'000'000'000),
+              Words{32});
   }
   pool.stop();
 

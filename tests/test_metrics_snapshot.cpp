@@ -13,29 +13,13 @@
 #include <string>
 #include <vector>
 
-#include "core/source_registry.hpp"
-#include "service/entropy_pool.hpp"
+#include "pool_test_support.hpp"
 
 namespace {
 
 using namespace trng;
-using common::Bits;
+using namespace trng::pool_test;
 using common::Words;
-
-service::SourceFactory registry_factory(const std::string& id,
-                                        std::uint64_t die_seed_base) {
-  return [id, die_seed_base](std::size_t index, std::uint64_t seed) {
-    return core::make_die_seeded_source(id, die_seed_base + index, seed);
-  };
-}
-
-// A gate a sane source never trips (see test_entropy_pool.cpp).
-service::ProducerConfig permissive_producer(std::size_t block_bits) {
-  service::ProducerConfig cfg;
-  cfg.block_bits = Bits{block_bits};
-  cfg.h_per_bit = 0.05;
-  return cfg;
-}
 
 std::size_t count_occurrences(const std::string& haystack,
                               const std::string& needle) {
@@ -96,8 +80,12 @@ void run_pool_snapshot(std::size_t producers, std::size_t draw_words,
   }
 
   run.drawn.resize(draw_words);
-  EXPECT_EQ(pool.draw_nonblocking(run.drawn.data(), Words{draw_words}),
-            Words{draw_words});
+  std::size_t at = 0;  // timeout 0: each shard in turn gives what it holds
+  for (std::size_t i = 0; i < producers; ++i) {
+    at += pool.draw_from_shard(i, run.drawn.data() + at,
+                               Words{draw_words - at}, 0).count();
+  }
+  EXPECT_EQ(at, draw_words);
   run.json = pool.metrics().snapshot_json();
 }
 
@@ -112,10 +100,12 @@ TEST(ServiceMetricsSnapshot, TopLevelSchemaKeysPresent) {
             std::string::npos);
   for (const char* key :
        {"\"pool\": {", "\"draws\": ", "\"words_drawn\": ",
-        "\"draw_wait_ns\": ", "\"nonblocking_shortfall_words\": ",
-        "\"draw_wait_us_histogram\": ", "\"producers\": ["}) {
+        "\"draw_wait_ns\": ", "\"draw_wait_us_histogram\": ",
+        "\"producers\": ["}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
+  // Removed with the non-blocking draw: nothing could ever increment it.
+  EXPECT_EQ(json.find("nonblocking_shortfall_words"), std::string::npos);
 }
 
 TEST(ServiceMetricsSnapshot, EveryProducerSectionIsComplete) {

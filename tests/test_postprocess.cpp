@@ -1,66 +1,13 @@
-// Unit tests for XOR and Von Neumann post-processing (Section 4.5).
+// Unit tests for Von Neumann post-processing (Section 4.5). XOR folding is
+// covered by BitStream.XorFold* (test_bitstream.cpp) and the
+// XorCompressedSource cases in test_bit_source.cpp.
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "common/rng.hpp"
 #include "core/postprocess.hpp"
 
 namespace trng::core {
 namespace {
-
-TEST(XorPostProcessor, RejectsZeroRate) {
-  EXPECT_THROW(XorPostProcessor(0), std::invalid_argument);
-}
-
-TEST(XorPostProcessor, Np1PassesThrough) {
-  XorPostProcessor pp(1);
-  bool out = false;
-  EXPECT_TRUE(pp.feed(true, out));
-  EXPECT_TRUE(out);
-  EXPECT_TRUE(pp.feed(false, out));
-  EXPECT_FALSE(out);
-}
-
-TEST(XorPostProcessor, StreamingMatchesBlock) {
-  common::Xoshiro256StarStar rng(1);
-  common::BitStream raw;
-  for (int i = 0; i < 1000; ++i) raw.push_back(rng.next() & 1);
-  for (unsigned np : {2u, 3u, 7u}) {
-    XorPostProcessor pp(np);
-    common::BitStream streamed;
-    for (std::size_t i = 0; i < raw.size(); ++i) {
-      bool out;
-      if (pp.feed(raw[i], out)) streamed.push_back(out);
-    }
-    EXPECT_TRUE(streamed == pp.process(raw)) << "np = " << np;
-  }
-}
-
-TEST(XorPostProcessor, KnownFold) {
-  XorPostProcessor pp(3);
-  const auto out = pp.process(common::BitStream::from_string("110" "011" "1"));
-  EXPECT_EQ(out.to_string(), "00");  // trailing partial group dropped
-}
-
-TEST(XorPostProcessor, PilingUpLemma) {
-  // Empirical bias after np-fold XOR must follow Eq. 7:
-  // b_pp = 2^(np-1) * b^np.
-  common::Xoshiro256StarStar rng(2);
-  common::BitStream biased;
-  const double b = 0.25;  // P(1) = 0.75
-  for (int i = 0; i < 600000; ++i) {
-    biased.push_back(rng.next_double() < 0.5 + b);
-  }
-  for (unsigned np : {2u, 3u, 4u}) {
-    XorPostProcessor pp(np);
-    const auto out = pp.process(biased);
-    const double expected =
-        std::exp2(static_cast<double>(np) - 1.0) * std::pow(b, np);
-    const double measured = std::fabs(out.ones_fraction() - 0.5);
-    EXPECT_NEAR(measured, expected, 0.004) << "np = " << np;
-  }
-}
 
 TEST(VonNeumann, MappingIsCorrect) {
   VonNeumannPostProcessor vn;

@@ -14,7 +14,7 @@ under-approximate: an ambiguous callee resolves to nothing rather than
 to everything, so the lock graph never grows edges from guesses.
 
 Lock graph semantics (lockdep-style):
-  - Nodes are mutexes qualified by owning class (`EntropyPool::data_mu_`);
+  - Nodes are mutexes qualified by owning class (`EntropyPool::stripe_mu_`);
     a mutex held in a vector is one node — per-element ordering inside
     one vector is out of scope.
   - An edge A -> B means "B was (or may be) acquired while A was held":

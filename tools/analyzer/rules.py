@@ -8,7 +8,7 @@
       governs the work item, not the wake-up state, so a stop() or
       close() landing between the state check and the sleep is lost and
       the consumer parks forever. The motivating bug was exactly that
-      shape in EntropyPool::draw.
+      shape in the pool's old blocking draw.
 
   SA002 unit-safety
       Bit counts and word counts must not mix. Raw /64, *64, %64, <<6,
@@ -61,7 +61,8 @@
 
   SA007 entropy-leak-taint
       Buffers that receive raw entropy (BitSource::generate_into
-      output, WordRing payloads, EntropyPool::draw destinations) taint
+      output, WordRing payloads, EntropyPool::draw_from_shard
+      destinations) taint
       every value derived from them; tainted values must not reach
       logging (printf family, stream inserts), metrics/JSON
       serialization helpers, to_string/format, or exception messages.
@@ -478,8 +479,9 @@ class LockScope(Rule):
                         "lock across one starves the other side",
         "push": "WordRing::push blocks on a full ring; calling it under "
                 "a lock the drainer needs is a deadlock",
-        "draw": "EntropyPool::draw blocks on empty rings; calling it "
-                "under a lock a producer needs is a deadlock",
+        "draw_from_shard": "EntropyPool::draw_from_shard blocks on an "
+                           "empty ring; calling it under a lock a "
+                           "producer needs is a deadlock",
     }
     _WAIT_MEMBERS = {"wait", "wait_for", "wait_until"}
 
@@ -751,17 +753,16 @@ class AtomicsDiscipline(Rule):
 # ----------------------------------------------------------------- SA007
 
 # Callee -> index of the buffer argument the call taints. Most entropy
-# interfaces lead with the destination buffer; the sharded pool and the
-# DRBG conditioner take the shard index first, buffer second.
-_TAINT_SOURCE_CALLS = {"generate_into": 0, "pop_some": 0, "draw": 0,
-                       "draw_nonblocking": 0, "draw_from_shard": 1}
+# interfaces lead with the destination buffer; the sharded pool takes the
+# shard index first, buffer second.
+_TAINT_SOURCE_CALLS = {"generate_into": 0, "pop_some": 0, "pop_until": 0,
+                       "draw_from_shard": 1}
 
 # Definitions of the entropy-carrying interfaces taint their own word
 # buffer parameter: the body of generate_into writes raw entropy into
 # it, the body of push reads raw entropy out of it.
 _TAINT_DEF_RE = re.compile(
-    r"\b(generate_into|push|pop_some|draw|draw_nonblocking|"
-    r"draw_from_shard)\s*"
+    r"\b(generate_into|push|pop_some|pop_until|draw_from_shard)\s*"
     r"\(([^)]*)\)[^;{}]*\{")
 
 _WORD_PTR_PARAM_RE = re.compile(
@@ -804,7 +805,7 @@ class EntropyLeakTaint(Rule):
     rule_id = "SA007"
     name = "entropy-leak-taint"
     doc = ("values reaching generate_into output buffers, WordRing "
-           "payloads or EntropyPool::draw destinations are "
+           "payloads or EntropyPool::draw_from_shard destinations are "
            "entropy-tainted and must not flow into logging, JSON/metrics "
            "serialization, exception messages or stdout; counts and "
            "verdicts are fine, words are not")
@@ -817,12 +818,6 @@ class EntropyLeakTaint(Rule):
         for c in tu.calls:
             idx = _TAINT_SOURCE_CALLS.get(c.callee)
             if idx is not None:
-                # Conditioner::draw(shard, out, ...) leads with the shard
-                # index; the pool/source draw(out, ...) leads with the
-                # buffer. Disambiguate on the receiver.
-                if c.callee == "draw" and c.recv and \
-                        "conditioner" in c.recv.lower():
-                    idx = 1
                 if len(c.args) > idx:
                     name = facts.head_name(c.args[idx])
                     if name and name not in _TYPE_HEADS:
@@ -967,7 +962,7 @@ class TypestateProtocols(Rule):
     # SPSC ring role confinement: member-call spellings per side, plus
     # the SA006 atomic index roles reached through the call graph.
     _PRODUCER_CALLS = ("push", "try_push")
-    _CONSUMER_CALLS = ("pop_some",)
+    _CONSUMER_CALLS = ("pop_some", "pop_until")
     _RING_HINT = "ring"
 
     _GEN_RE = re.compile(

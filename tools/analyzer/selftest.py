@@ -51,6 +51,7 @@ EXPECTED = sorted([
     ("src/service/sa007_bad.cpp", "SA007"),   # raw word to to_string
     ("src/service/sa007_bad.cpp", "SA007"),   # raw word in an exception
     ("src/server/sa007_shard_bad.cpp", "SA007"),  # draw_from_shard arg 1
+    ("src/service/sa007_pop_until_bad.cpp", "SA007"),  # pop_until arg 0
     ("src/service/sa008_bad.cpp", "SA008"),   # front -> back acquisition
     ("src/service/sa008_bad.cpp", "SA008"),   # reversed, contradicts decl
     ("src/service/sa008_xtu_a.cpp", "SA008"),  # cross-TU cycle, side A

@@ -11,8 +11,11 @@ reads the per-workload result files run.py leaves in its results
 directory. Per workload it writes the median and quartiles of every
 end-to-end metric BENCHMARK.json names, the attempted and failed
 operation counts, and the per-layer rows of the traced run, together with
-the host, commit, seed and run length. It writes nothing if any run exits
-non-zero or reports an incorrect output.
+the host, commit, seed and run length. The commit is run.py's HEAD sha,
+suffixed "-dirty" when tracked files differed from HEAD as the record
+started, so a record of uncommitted changes cannot pass for its parent
+commit. It writes nothing if any run exits non-zero or reports an
+incorrect output.
 
 The gate compares the medians of a fresh record against the committed
 baseline. Metric names, directions and bounds come from BENCHMARK.json: a
@@ -33,6 +36,7 @@ import pathlib
 import statistics
 import subprocess
 import sys
+import tempfile
 
 SKIP_EXIT = 77
 SEED = 1
@@ -58,6 +62,14 @@ def results_dir() -> pathlib.Path:
     run_py = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run_py)
     return run_py.build_dir(REPO) / "results"
+
+
+def dirty_suffix(repo: pathlib.Path) -> str:
+    """"-dirty" when tracked files in the git work tree at `repo` differ
+    from HEAD, else "" (also when `repo` is not a git work tree)."""
+    p = subprocess.run(["git", "diff", "--quiet", "HEAD"], cwd=repo,
+                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    return "-dirty" if p.returncode == 1 else ""
 
 
 def perfbench_run(spec: dict, trace: int) -> dict[str, dict]:
@@ -121,12 +133,14 @@ def summarise(spec: dict, runs: list[dict[str, dict]],
 
 def record(spec: dict, runs: int, out: pathlib.Path) -> int:
     try:
+        suffix = dirty_suffix(REPO)
         passes = []
         for i in range(runs):
             print(f"bench_diff record: run {i + 1}/{runs}", flush=True)
             passes.append(perfbench_run(spec, trace=0))
         print("bench_diff record: traced run", flush=True)
         doc = summarise(spec, passes, perfbench_run(spec, trace=1))
+        doc["commit"] += suffix
     except (RecordError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"bench_diff record: {exc}; no file written", file=sys.stderr)
         return 1
@@ -174,11 +188,36 @@ def compare(spec: dict, baseline: dict, fresh: dict) -> tuple[int, list]:
     return (1 if failed else 0), lines
 
 
+def selftest_dirty_suffix() -> str | None:
+    """None when a throwaway git repository gives a clean tree the bare
+    sha and a modified tracked file the "-dirty" suffix; else the error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        repo = pathlib.Path(tmp)
+        git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@x",
+               "-c", "commit.gpgsign=false"]
+        tracked = repo / "tracked.txt"
+        tracked.write_text("a\n", encoding="utf-8")
+        for args in (["init", "-q"], ["add", "tracked.txt"],
+                     ["commit", "-q", "-m", "c"]):
+            subprocess.run(git + args, cwd=repo, check=True,
+                           stdout=subprocess.DEVNULL)
+        sha = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo,
+                             check=True, stdout=subprocess.PIPE,
+                             text=True).stdout.strip()
+        clean = sha + dirty_suffix(repo)
+        tracked.write_text("b\n", encoding="utf-8")
+        dirty = sha + dirty_suffix(repo)
+    if clean != sha or dirty != f"{sha}-dirty":
+        return f"clean tree gave {clean!r}, modified tree gave {dirty!r}"
+    return None
+
+
 def selftest(spec: dict, baseline: dict) -> int:
     """Proves the gate works on the baseline itself, in memory: an identical
     copy passes; a copy with one workload x metric pushed past its bound in
     its worse direction fails on exactly that pair, for every pair; a copy
-    from another host is refused."""
+    from another host is refused. Then proves the record's commit marks a
+    dirty tree, on a throwaway git repository."""
     code, lines = compare(spec, baseline, copy.deepcopy(baseline))
     if code != 0:
         print("bench_diff selftest: identical records did not pass:",
@@ -211,9 +250,18 @@ def selftest(spec: dict, baseline: dict) -> int:
               "compared:", file=sys.stderr)
         print("\n".join(lines), file=sys.stderr)
         return 1
+
+    try:
+        error = selftest_dirty_suffix()
+    except (OSError, subprocess.CalledProcessError) as exc:
+        error = f"git failed: {exc}"
+    if error is not None:
+        print(f"bench_diff selftest: dirty-tree mark: {error}",
+              file=sys.stderr)
+        return 1
     print(f"bench_diff selftest: OK (identical passes, perturbing each of "
           f"{len(pairs)} workload x metric pairs trips exactly that pair, "
-          f"a foreign host is refused)")
+          f"a foreign host is refused, a modified tree is marked -dirty)")
     return 0
 
 
