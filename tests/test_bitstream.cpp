@@ -1,7 +1,6 @@
 // Unit tests for the packed bit container.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <limits>
 
 #include "common/bitstream.hpp"
@@ -117,17 +116,6 @@ TEST(BitStream, XorFoldReducesBias) {
   EXPECT_LT(std::abs(b3), std::abs(b1));
   // Piling-up lemma: b3 ~ 4 * b1^3 = 0.032.
   EXPECT_NEAR(b3, 4.0 * b1 * b1 * b1, 0.01);
-
-  // Eq. 7 for np = 2, 3, 4 at bias b = 0.25: b_pp = 2^(np-1) * b^np.
-  Xoshiro256StarStar rng2(2);
-  BitStream quarter;
-  for (int i = 0; i < 600000; ++i) quarter.push_back(rng2.next_double() < 0.75);
-  for (unsigned np : {2u, 3u, 4u}) {
-    const double measured =
-        std::fabs(quarter.xor_fold(np).ones_fraction() - 0.5);
-    EXPECT_NEAR(measured, std::exp2(np - 1.0) * std::pow(0.25, np), 0.004)
-        << "np = " << np;
-  }
 }
 
 TEST(BitStream, OnesFractionThrowsOnEmpty) {

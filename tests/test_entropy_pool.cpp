@@ -689,6 +689,48 @@ TEST(EntropyPool, BackpressureStallsProducerAndIsMetered) {
   EXPECT_GT(pool.metrics().producer(0).stall_ns.load(), 0u);
 }
 
+TEST(EntropyPool, ConcurrentConsumersSplitTheStreamWithoutLossOrDuplication) {
+  // Two consumer threads hammer both shards concurrently, in opposite
+  // order; conservation of words (pool tally == sum of per-producer
+  // tallies == words delivered) holds.
+  service::PoolConfig cfg;
+  cfg.producers = 2;
+  cfg.producer = permissive_producer(512);
+  cfg.ring_capacity_words = Words{128};
+
+  service::EntropyPool pool(registry_factory("str-virtex", 100), cfg);
+  pool.start();
+
+  constexpr std::size_t kPerConsumer = 512;
+  std::vector<std::uint64_t> got_a(kPerConsumer), got_b(kPerConsumer);
+  std::atomic<std::size_t> delivered{0};
+  auto consume = [&](std::uint64_t* out, std::size_t first_shard) {
+    std::size_t at = 0;
+    for (std::size_t shard = first_shard; at < kPerConsumer;
+         shard = (shard + 1) % cfg.producers) {
+      const Words chunk{std::min<std::size_t>(64, kPerConsumer - at)};
+      const Words got =
+          pool.draw_from_shard(shard, out + at, chunk, kNoDeadline);
+      at += got.count();
+      delivered.fetch_add(got.count());
+      if (got < chunk) break;  // stopped underneath us
+    }
+  };
+  std::thread consumer_a([&] { consume(got_a.data(), 0); });
+  std::thread consumer_b([&] { consume(got_b.data(), 1); });
+  consumer_a.join();
+  consumer_b.join();
+  pool.stop();
+
+  EXPECT_EQ(delivered.load(), 2 * kPerConsumer);
+  std::uint64_t per_producer_drawn = 0;
+  for (std::size_t i = 0; i < 2; ++i) {
+    per_producer_drawn += pool.metrics().producer(i).words_drawn.load();
+  }
+  EXPECT_EQ(pool.metrics().words_drawn.load(), per_producer_drawn);
+  EXPECT_EQ(per_producer_drawn, 2 * kPerConsumer);
+}
+
 // Several consumers on one shard take turns on its stripe, each parking
 // in the ring's wait while holding it. Against the producer's stream
 // (producers == 1, a gate the source never trips) the words they deliver

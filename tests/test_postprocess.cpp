@@ -1,13 +1,48 @@
-// Unit tests for Von Neumann post-processing (Section 4.5). XOR folding is
-// covered by BitStream.XorFold* (test_bitstream.cpp) and the
-// XorCompressedSource cases in test_bit_source.cpp.
+// Unit tests for XOR and Von Neumann post-processing (Section 4.5). The
+// XOR post-processor of a whole stream is common::BitStream::xor_fold; the
+// XorCompressedSource decorator is covered in test_bit_source.cpp.
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include "common/rng.hpp"
 #include "core/postprocess.hpp"
 
 namespace trng::core {
 namespace {
+
+TEST(XorPostProcessor, RejectsZeroRate) {
+  EXPECT_THROW((void)common::BitStream::from_string("1").xor_fold(0),
+               std::invalid_argument);
+}
+
+TEST(XorPostProcessor, Np1PassesThrough) {
+  const auto raw = common::BitStream::from_string("10");
+  EXPECT_TRUE(raw.xor_fold(1) == raw);
+}
+
+TEST(XorPostProcessor, KnownFold) {
+  const auto out = common::BitStream::from_string("110" "011" "1").xor_fold(3);
+  EXPECT_EQ(out.to_string(), "00");  // trailing partial group dropped
+}
+
+TEST(XorPostProcessor, PilingUpLemma) {
+  // Empirical bias after np-fold XOR must follow Eq. 7:
+  // b_pp = 2^(np-1) * b^np.
+  common::Xoshiro256StarStar rng(2);
+  common::BitStream biased;
+  const double b = 0.25;  // P(1) = 0.75
+  for (int i = 0; i < 600000; ++i) {
+    biased.push_back(rng.next_double() < 0.5 + b);
+  }
+  for (unsigned np : {2u, 3u, 4u}) {
+    const auto out = biased.xor_fold(np);
+    const double expected =
+        std::exp2(static_cast<double>(np) - 1.0) * std::pow(b, np);
+    const double measured = std::fabs(out.ones_fraction() - 0.5);
+    EXPECT_NEAR(measured, expected, 0.004) << "np = " << np;
+  }
+}
 
 TEST(VonNeumann, MappingIsCorrect) {
   VonNeumannPostProcessor vn;
