@@ -12,7 +12,6 @@
 //   TRNG_SERVERD_PRODUCERS   pool producers / DRBG shards (default 2)
 //   TRNG_SERVERD_CLIENTS     client threads               (default 2)
 //   TRNG_SERVERD_SOURCE      registry source id           (default carry-k1)
-//   TRNG_SERVERD_PACE        per-producer pace in bits/s  (default 0 = off)
 //   TRNG_SERVERD_PR          1 = prediction resistance    (default 0)
 //   TRNG_SERVERD_UDS         also listen on this AF_UNIX path and stay up
 //                            until stdin closes (scrape it with
@@ -37,7 +36,6 @@ int main() {
   const std::size_t producers =
       common::env_size("TRNG_SERVERD_PRODUCERS", 2);
   const std::size_t clients = common::env_size("TRNG_SERVERD_CLIENTS", 2);
-  const std::size_t pace = common::env_size("TRNG_SERVERD_PACE", 0);
   const bool pr = common::env_size("TRNG_SERVERD_PR", 0) != 0;
   const char* source_env = std::getenv("TRNG_SERVERD_SOURCE");
   const std::string source_id = source_env != nullptr ? source_env
@@ -48,7 +46,6 @@ int main() {
   cfg.pool.producers = producers;
   cfg.pool.producer.block_bits = common::Bits{4096};
   cfg.pool.producer.h_per_bit = 0.95;  // gate at the paper's entropy bar
-  cfg.pool.producer.pace_bits_per_s = static_cast<double>(pace);
   cfg.pool.ring_capacity_words = common::Words{1 << 12};
 
   // Every producer elaborates its own simulated die (distinct process
@@ -60,9 +57,9 @@ int main() {
       cfg);
 
   std::printf("entropy_serverd: %zu shard(s) of '%s', %zu client(s), "
-              "%zu conditioned bits%s%s\n",
+              "%zu conditioned bits%s\n",
               producers, source_id.c_str(), clients, total_bits,
-              pace != 0 ? " (paced)" : "", pr ? " (PR)" : "");
+              pr ? " (PR)" : "");
   daemon.start();
   if (uds != nullptr) {
     daemon.listen_unix(uds);

@@ -86,10 +86,10 @@ class Conditioner {
  private:
   struct Shard {
     // Declared lock order (SA008): the shard mutex is the outermost
-    // lock on the conditioning path — the pool's shard stripe and then
-    // the ring's mutex nest inside it (fill_seed holds mu across
-    // EntropyPool::draw_from_shard), never the reverse.
-    // trng-analyzer: lock-order(mu, EntropyPool::stripe_mu_)
+    // lock on the conditioning path — the shard ring's mutex nests
+    // inside it (fill_seed holds mu across EntropyPool::draw_from_shard),
+    // never the reverse.
+    // trng-analyzer: lock-order(mu, WordRing::mu_)
     std::mutex mu;
     // Declared locking contract (SA005): the DRBG state and the partial
     // seed buffer advance together on every draw, so all access is under

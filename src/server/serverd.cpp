@@ -51,12 +51,13 @@ void ServerDaemon::spawn_session_locked(int fd, std::uint16_t shard) {
   sessions_.push_back(std::move(handle));
 }
 
-int ServerDaemon::connect_client() {
-  const std::size_t nshards = pool_.producers();
-  std::lock_guard<std::mutex> lk(sessions_mu_);
+std::uint16_t ServerDaemon::next_shard_locked() {
+  return static_cast<std::uint16_t>(
+      std::exchange(next_shard_, (next_shard_ + 1) % pool_.producers()));
+}
+
+int ServerDaemon::connect_pair_locked(std::uint16_t shard) {
   if (draining_.load(std::memory_order_acquire)) return -1;
-  const auto shard = static_cast<std::uint16_t>(next_shard_);
-  next_shard_ = (next_shard_ + 1) % nshards;
   int sv[2];
   if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
     throw std::runtime_error("ServerDaemon: socketpair failed");
@@ -65,18 +66,17 @@ int ServerDaemon::connect_client() {
   return sv[1];
 }
 
+int ServerDaemon::connect_client() {
+  std::lock_guard<std::mutex> lk(sessions_mu_);
+  return connect_pair_locked(next_shard_locked());
+}
+
 int ServerDaemon::connect_client_to_shard(std::uint16_t shard) {
   if (shard >= pool_.producers()) {
     throw std::out_of_range("ServerDaemon: shard index out of range");
   }
   std::lock_guard<std::mutex> lk(sessions_mu_);
-  if (draining_.load(std::memory_order_acquire)) return -1;
-  int sv[2];
-  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0) {
-    throw std::runtime_error("ServerDaemon: socketpair failed");
-  }
-  spawn_session_locked(sv[0], shard);
-  return sv[1];
+  return connect_pair_locked(shard);
 }
 
 void ServerDaemon::listen_unix(const std::string& path) {
@@ -110,7 +110,6 @@ void ServerDaemon::listen_unix(const std::string& path) {
 }
 
 void ServerDaemon::accept_loop() {
-  const std::size_t nshards = pool_.producers();
   int fd = -1;
   {
     std::lock_guard<std::mutex> lk(sessions_mu_);
@@ -127,9 +126,7 @@ void ServerDaemon::accept_loop() {
       ::close(client);
       return;
     }
-    const auto shard = static_cast<std::uint16_t>(next_shard_);
-    next_shard_ = (next_shard_ + 1) % nshards;
-    spawn_session_locked(client, shard);
+    spawn_session_locked(client, next_shard_locked());
   }
 }
 

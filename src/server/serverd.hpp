@@ -99,7 +99,9 @@ class ServerDaemon {
   }
 
  private:
+  std::uint16_t next_shard_locked();
   void spawn_session_locked(int fd, std::uint16_t shard);
+  int connect_pair_locked(std::uint16_t shard);
   void accept_loop();
 
   struct SessionHandle {

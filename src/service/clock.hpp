@@ -16,7 +16,7 @@
 namespace trng::service {
 
 /// Monotonic nanoseconds since an arbitrary process-local epoch. Only ever
-/// used for durations (stall/wait accounting, pacing deadlines).
+/// used for durations (stall/wait accounting, wait deadlines).
 inline std::uint64_t monotonic_ns() {
   // trng-lint: allow(TL001) -- service-layer thread scheduling/metrics need wall time; no simulation or entropy state derives from this clock
   const auto now = std::chrono::steady_clock::now().time_since_epoch();

@@ -23,10 +23,8 @@ EntropyPool::EntropyPool(SourceFactory make, PoolConfig config)
   config_.validate();
   rings_.reserve(config_.producers);
   producers_.reserve(config_.producers);
-  stripe_mu_.reserve(config_.producers);
   for (std::size_t i = 0; i < config_.producers; ++i) {
     rings_.push_back(std::make_unique<WordRing>(config_.ring_capacity_words));
-    stripe_mu_.push_back(std::make_unique<std::mutex>());
     producers_.push_back(std::make_unique<Producer>(
         i, make, config_.stream_seed_base + i, config_.producer, *rings_[i],
         metrics_.producer(i)));
@@ -64,14 +62,8 @@ common::Words EntropyPool::draw_from_shard(std::size_t shard,
                                      ? ~std::uint64_t{0}
                                      : start_ns + timeout_ns;
   std::uint64_t waited_ns = 0;
-  common::Words delivered{0};
-  {
-    // WordRing's pop side is single-consumer: the stripe serializes this
-    // shard's consumers and is held across the ring's wait, as the
-    // conditioner already holds its shard mutex across this call.
-    std::lock_guard<std::mutex> stripe(*stripe_mu_[shard]);
-    delivered = ring.pop_until(words, nwords, deadline, &waited_ns);
-  }
+  const common::Words delivered =
+      ring.pop_until(words, nwords, deadline, &waited_ns);
   ProducerCounters& counters = metrics_.producer(shard);
   counters.words_drawn.fetch_add(delivered.count(), std::memory_order_relaxed);
   counters.ring_words.store(ring.size().count(), std::memory_order_relaxed);

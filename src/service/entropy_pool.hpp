@@ -27,7 +27,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "service/metrics.hpp"
@@ -79,9 +78,9 @@ class EntropyPool {
   /// delivered — short on timeout or once the pool is stopped and the ring
   /// drained. This is how the server tier's per-shard DRBGs reseed: a
   /// quarantined producer starves only its own shard's reseeds instead of
-  /// the whole pool. Thread-safe: concurrent callers on one shard take
-  /// turns on its consumer stripe. Throws std::out_of_range on a bad
-  /// shard index.
+  /// the whole pool. Thread-safe: concurrent callers on one shard share
+  /// the ring's lock, and each gets a subsequence of the shard's stream.
+  /// Throws std::out_of_range on a bad shard index.
   common::Words draw_from_shard(std::size_t shard, std::uint64_t* words,
                                 common::Words nwords,
                                 std::uint64_t timeout_ns);
@@ -104,14 +103,6 @@ class EntropyPool {
   Metrics metrics_;
   std::vector<std::unique_ptr<WordRing>> rings_;
   std::vector<std::unique_ptr<Producer>> producers_;
-
-  /// One consumer stripe lock per ring: WordRing's pop side is
-  /// single-consumer, so the pool serializes poppers per shard here
-  /// instead of inside the ring. The stripe is held across the ring's
-  /// blocking wait, so lock order is stripe before the ring's own mutex,
-  /// never the reverse; at most one stripe held at a time.
-  // trng-analyzer: lock-order(stripe_mu_, WordRing::mu_)
-  std::vector<std::unique_ptr<std::mutex>> stripe_mu_;
 
   /// One-way latches. exchange() (seq_cst) makes start/stop idempotent.
   // trng-analyzer: atomic(flag)

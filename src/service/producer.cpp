@@ -1,10 +1,7 @@
 #include "service/producer.hpp"
 
-#include <chrono>
 #include <stdexcept>
 #include <utility>
-
-#include "service/clock.hpp"
 
 namespace trng::service {
 
@@ -19,10 +16,6 @@ void ProducerConfig::validate() const {
   }
   if (!(alpha_log2 > 0.0)) {
     throw std::invalid_argument("ProducerConfig: alpha_log2 must be > 0");
-  }
-  if (pace_bits_per_s < 0.0) {
-    throw std::invalid_argument(
-        "ProducerConfig: pace_bits_per_s must be >= 0");
   }
   quarantine.validate();
 }
@@ -118,57 +111,20 @@ bool Producer::step() {
   return !ring_.closed();
 }
 
-void Producer::pace_wait(std::uint64_t deadline_ns) {
-  std::unique_lock<std::mutex> lk(stop_mu_);
-  stop_cv_.wait_for(
-      lk,
-      std::chrono::nanoseconds(deadline_ns > monotonic_ns()
-                                   ? deadline_ns - monotonic_ns()
-                                   : 0),
-      [&] { return stop_requested_; });
-}
-
 void Producer::run() {
-  const bool paced = config_.pace_bits_per_s > 0.0;
-  const auto block_period_ns =
-      paced ? static_cast<std::uint64_t>(
-                  1e9 * static_cast<double>(config_.block_bits.count()) /
-                  config_.pace_bits_per_s)
-            : 0;
-  std::uint64_t deadline_ns = monotonic_ns();
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lk(stop_mu_);
-      if (stop_requested_) return;
-    }
+  while (!stop_requested_.load(std::memory_order_acquire)) {
     if (!step()) return;
-    if (paced) {
-      deadline_ns += block_period_ns;
-      const std::uint64_t now = monotonic_ns();
-      if (deadline_ns <= now) {
-        deadline_ns = now;  // behind schedule: don't accumulate debt
-        continue;
-      }
-      pace_wait(deadline_ns);
-    }
   }
 }
 
 void Producer::start() {
   if (thread_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lk(stop_mu_);
-    stop_requested_ = false;
-  }
+  stop_requested_.store(false, std::memory_order_release);
   thread_ = std::thread([this] { run(); });
 }
 
 void Producer::stop_and_join() {
-  {
-    std::lock_guard<std::mutex> lk(stop_mu_);
-    stop_requested_ = true;
-  }
-  stop_cv_.notify_all();
+  stop_requested_.store(true, std::memory_order_release);
   if (thread_.joinable()) thread_.join();
 }
 

@@ -13,12 +13,11 @@
 // producer i always builds the same source, independent of thread timing.
 #pragma once
 
-#include <condition_variable>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -51,14 +50,6 @@ struct ProducerConfig {
 
   QuarantineConfig quarantine;
 
-  /// Emulated hardware rate per producer in bits/s; 0 disables pacing and
-  /// the producer runs as fast as the simulation allows. Pacing models a
-  /// hardware-bound source (the FPGA produces at its clocked rate no
-  /// matter how many instances run), which is what makes service-layer
-  /// scaling measurable on machines where the CPU-bound simulator
-  /// saturates cores first.
-  double pace_bits_per_s = 0.0;
-
   void validate() const;
 };
 
@@ -82,7 +73,7 @@ class Producer {
   /// start()) or the test harness calls it, never both.
   bool step();
 
-  /// Spawns the worker thread (loops step() with optional pacing).
+  /// Spawns the worker thread (loops step() until stopped or closed).
   void start();
 
   /// Asks the worker to stop after its current block and joins it. Safe to
@@ -102,7 +93,6 @@ class Producer {
   void run();
   void reseed();
   std::uint64_t next_epoch_seed();
-  void pace_wait(std::uint64_t deadline_ns);
 
   std::size_t index_;
   SourceFactory make_;
@@ -116,14 +106,10 @@ class Producer {
   std::vector<std::uint64_t> block_;
 
   std::thread thread_;
-  std::mutex stop_mu_;
-  std::condition_variable stop_cv_;
-  // Declared locking contract (SA005): written by start/stop_and_join,
-  // read by the worker's loop and the pace-wait predicate — always
-  // under stop_mu_, which is also what makes the stop_cv_ handshake
-  // lossless.
-  // trng-analyzer: guards(stop_requested_, stop_mu_)
-  bool stop_requested_ = false;
+  /// Set by stop_and_join (release), polled by the worker between blocks
+  /// (acquire); start() clears it before spawning.
+  // trng-analyzer: atomic(flag)
+  std::atomic<bool> stop_requested_{false};
 };
 
 }  // namespace trng::service

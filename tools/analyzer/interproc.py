@@ -14,7 +14,7 @@ under-approximate: an ambiguous callee resolves to nothing rather than
 to everything, so the lock graph never grows edges from guesses.
 
 Lock graph semantics (lockdep-style):
-  - Nodes are mutexes qualified by owning class (`EntropyPool::stripe_mu_`);
+  - Nodes are mutexes qualified by owning class (`WordRing::mu_`);
     a mutex held in a vector is one node — per-element ordering inside
     one vector is out of scope.
   - An edge A -> B means "B was (or may be) acquired while A was held":
@@ -52,8 +52,8 @@ _WAITISH = {"wait", "wait_for", "wait_until", "notify_one", "notify_all"}
 # A mutex-typed member declaration inside a class span. The lazy middle
 # cannot cross statement or call punctuation, so guard locals inside
 # inline method bodies (`std::lock_guard<std::mutex> lk(mu_);`) and
-# mutex reference parameters never match; wrapped members
-# (`std::vector<std::unique_ptr<std::mutex>> stripe_mu_;`) do.
+# mutex reference parameters never match; members do, plain
+# (WordRing's `mutable std::mutex mu_;`) or wrapped in a container.
 _MUTEX_MEMBER_RE = re.compile(r"\bmutex\b[^;{}()=]*?\s(\w+)\s*;")
 
 _NONBLOCKING_ACQ_RE = re.compile(r"\btry_to_lock\b|\bdefer_lock\b")

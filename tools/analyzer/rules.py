@@ -52,12 +52,11 @@
       (`// trng-analyzer: atomic(<role>)`): counter and gauge tolerate
       any order (monotonic tallies / racy-by-design snapshots); flag
       requires release-publish/acquire-observe (seq_cst, or the default,
-      is fine — relaxed is not); index-producer/index-consumer (the
-      lock-free SPSC ring protocol) additionally require the order to
-      be spelled explicitly at every operation. Universally invalid
-      combinations (acquire store, release load) are flagged regardless
-      of role. This is the pre-flight gate for the ROADMAP lock-free
-      ring refactor.
+      is fine — relaxed is not); index-producer/index-consumer (a
+      lock-free ring's publish indices; no src/ atomic holds these
+      roles today) additionally require the order to be spelled
+      explicitly at every operation. Universally invalid combinations
+      (acquire store, release load) are flagged regardless of role.
 
   SA007 entropy-leak-taint
       Buffers that receive raw entropy (BitSource::generate_into
@@ -66,8 +65,10 @@
       every value derived from them; tainted values must not reach
       logging (printf family, stream inserts), metrics/JSON
       serialization helpers, to_string/format, or exception messages.
-      Counts and verdicts are fine; words are not. This is the
-      paper's raw-vs-conditioned boundary as a compile-time check.
+      Counts and verdicts are fine; words are not: the count such a
+      call returns (`got = ring.pop_until(buf, ...)`) stays clean. This
+      is the paper's raw-vs-conditioned boundary as a compile-time
+      check.
 
 Suppressions use the same line-scoped justified-marker contract as
 trng_lint:  // trng-analyzer: allow(SA001) -- why this one is fine
@@ -758,12 +759,21 @@ class AtomicsDiscipline(Rule):
 _TAINT_SOURCE_CALLS = {"generate_into": 0, "pop_some": 0, "pop_until": 0,
                        "draw_from_shard": 1}
 
+# A ring push reads raw entropy out of its first argument.
+_PUSH_CALLS = {"push", "try_push"}
+
 # Definitions of the entropy-carrying interfaces taint their own word
 # buffer parameter: the body of generate_into writes raw entropy into
 # it, the body of push reads raw entropy out of it.
 _TAINT_DEF_RE = re.compile(
-    r"\b(generate_into|push|pop_some|pop_until|draw_from_shard)\s*"
-    r"\(([^)]*)\)[^;{}]*\{")
+    r"\b(generate_into|push|try_push|pop_some|pop_until|draw_from_shard)"
+    r"\s*\(([^)]*)\)[^;{}]*\{")
+
+# An assignment right side that is one call, `recv.callee(args)` with
+# optional accessor calls after it (`.count()`).
+_CALL_RHS_RE = re.compile(
+    r"\s*(?:[A-Za-z_][\w\[\]]*\s*(?:\.|->|::)\s*)*([A-Za-z_]\w*)\s*\(")
+_ACCESSORS_RE = re.compile(r"(?:\s*\.\s*\w+\s*\(\s*\))*\s*")
 
 _WORD_PTR_PARAM_RE = re.compile(
     r"(?:const\s+)?(?:std\s*::\s*)?uint64_t\s*\*\s*(\w+)")
@@ -801,6 +811,22 @@ def _mentions(expr: str, tainted: set[str]) -> str | None:
     return None
 
 
+def _returns_count(rhs: str) -> bool:
+    """True when `rhs` is just a call to an entropy interface. Those
+    return a word count; the words travel through the buffer argument,
+    which the seeding already taints."""
+    m = _CALL_RHS_RE.match(rhs or "")
+    if not m or (m.group(1) not in _TAINT_SOURCE_CALLS and
+                 m.group(1) not in _PUSH_CALLS):
+        return False
+    depth = 0
+    for i in range(m.end() - 1, len(rhs)):
+        depth += {"(": 1, ")": -1}.get(rhs[i], 0)
+        if depth == 0:
+            return _ACCESSORS_RE.fullmatch(rhs, i + 1) is not None
+    return False
+
+
 class EntropyLeakTaint(Rule):
     rule_id = "SA007"
     name = "entropy-leak-taint"
@@ -822,7 +848,7 @@ class EntropyLeakTaint(Rule):
                     name = facts.head_name(c.args[idx])
                     if name and name not in _TYPE_HEADS:
                         tainted.add(name)
-            elif c.callee == "push" and c.args and c.recv and \
+            elif c.callee in _PUSH_CALLS and c.args and c.recv and \
                     "ring" in c.recv.lower():
                 name = facts.head_name(c.args[0])
                 if name and name not in _TYPE_HEADS:
@@ -840,12 +866,15 @@ class EntropyLeakTaint(Rule):
             return findings
 
         # Propagate through assignments and buffer copies to fixpoint.
+        # The count an entropy interface returns stays clean.
         changed = True
         while changed:
             changed = False
             for a in tu.assigns:
                 lhs = facts.head_name(a.lhs)
-                if lhs and lhs not in tainted and _mentions(a.rhs, tainted):
+                if lhs and lhs not in tainted and \
+                        not _returns_count(a.rhs) and \
+                        _mentions(a.rhs, tainted):
                     tainted.add(lhs)
                     changed = True
             for c in tu.calls:
