@@ -11,12 +11,14 @@ namespace trng::stat {
 
 namespace {
 
-using Kernel = TestResult (*)(const common::BitStream&);
+using Kernel = TestResult (*)(const common::BitStream&, const ParallelFor&);
 
 // The fifteen tests in report order: the scalar reference kernel, its
 // word-parallel twin, and whether it is one of the heavyweight tests that
 // Options::include_slow gates. The wrappers bind each kernel's default
-// parameters so the table holds plain function pointers.
+// parameters so the table holds plain function pointers. Every kernel is
+// handed the executor's ParallelFor; the word-parallel column's dft splits
+// its transform over it, and the scalar column, the oracle, runs inline.
 struct BatteryTest {
   const char* name;
   Kernel scalar;
@@ -25,47 +27,63 @@ struct BatteryTest {
 };
 
 using Stream = common::BitStream;
+using Split = const ParallelFor&;  // what a kernel may split its work over
 constexpr BatteryTest kTests[] = {
-    {"frequency", [](const Stream& b) { return frequency_test(b); },
-     [](const Stream& b) { return wordpar::frequency_test(b); }, false},
-    {"block_frequency", [](const Stream& b) { return block_frequency_test(b); },
-     [](const Stream& b) { return wordpar::block_frequency_test(b); }, false},
-    {"runs", [](const Stream& b) { return runs_test(b); },
-     [](const Stream& b) { return wordpar::runs_test(b); }, false},
-    {"longest_run", [](const Stream& b) { return longest_run_test(b); },
-     [](const Stream& b) { return wordpar::longest_run_test(b); }, false},
-    {"cumulative_sums", [](const Stream& b) { return cumulative_sums_test(b); },
-     [](const Stream& b) { return wordpar::cumulative_sums_test(b); }, false},
-    {"serial", [](const Stream& b) { return serial_test(b); },
-     [](const Stream& b) { return wordpar::serial_test(b); }, false},
+    {"frequency", [](const Stream& b, Split) { return frequency_test(b); },
+     [](const Stream& b, Split) { return wordpar::frequency_test(b); }, false},
+    {"block_frequency",
+     [](const Stream& b, Split) { return block_frequency_test(b); },
+     [](const Stream& b, Split) { return wordpar::block_frequency_test(b); },
+     false},
+    {"runs", [](const Stream& b, Split) { return runs_test(b); },
+     [](const Stream& b, Split) { return wordpar::runs_test(b); }, false},
+    {"longest_run", [](const Stream& b, Split) { return longest_run_test(b); },
+     [](const Stream& b, Split) { return wordpar::longest_run_test(b); },
+     false},
+    {"cumulative_sums",
+     [](const Stream& b, Split) { return cumulative_sums_test(b); },
+     [](const Stream& b, Split) { return wordpar::cumulative_sums_test(b); },
+     false},
+    {"serial", [](const Stream& b, Split) { return serial_test(b); },
+     [](const Stream& b, Split) { return wordpar::serial_test(b); }, false},
     {"approximate_entropy",
-     [](const Stream& b) { return approximate_entropy_test(b); },
-     [](const Stream& b) { return wordpar::approximate_entropy_test(b); },
+     [](const Stream& b, Split) { return approximate_entropy_test(b); },
+     [](const Stream& b, Split) {
+       return wordpar::approximate_entropy_test(b);
+     },
      false},
     {"random_excursions",
-     [](const Stream& b) { return random_excursions_test(b); },
-     [](const Stream& b) { return wordpar::random_excursions_test(b); }, false},
-    {"random_excursions_variant",
-     [](const Stream& b) { return random_excursions_variant_test(b); },
-     [](const Stream& b) { return wordpar::random_excursions_variant_test(b); },
+     [](const Stream& b, Split) { return random_excursions_test(b); },
+     [](const Stream& b, Split) { return wordpar::random_excursions_test(b); },
      false},
-    {"rank", [](const Stream& b) { return rank_test(b); },
-     [](const Stream& b) { return wordpar::rank_test(b); }, true},
-    {"dft", [](const Stream& b) { return dft_test(b); },
-     [](const Stream& b) { return wordpar::dft_test(b); }, true},
+    {"random_excursions_variant",
+     [](const Stream& b, Split) { return random_excursions_variant_test(b); },
+     [](const Stream& b, Split) {
+       return wordpar::random_excursions_variant_test(b);
+     },
+     false},
+    {"rank", [](const Stream& b, Split) { return rank_test(b); },
+     [](const Stream& b, Split) { return wordpar::rank_test(b); }, true},
+    {"dft", [](const Stream& b, Split) { return dft_test(b); },
+     [](const Stream& b, Split split) { return dft_test(b, split); }, true},
     {"non_overlapping_template",
-     [](const Stream& b) { return non_overlapping_template_test(b); },
-     [](const Stream& b) { return wordpar::non_overlapping_template_test(b); },
+     [](const Stream& b, Split) { return non_overlapping_template_test(b); },
+     [](const Stream& b, Split) {
+       return wordpar::non_overlapping_template_test(b);
+     },
      true},
     {"overlapping_template",
-     [](const Stream& b) { return overlapping_template_test(b); },
-     [](const Stream& b) { return wordpar::overlapping_template_test(b); },
+     [](const Stream& b, Split) { return overlapping_template_test(b); },
+     [](const Stream& b, Split) {
+       return wordpar::overlapping_template_test(b);
+     },
      true},
-    {"universal", [](const Stream& b) { return universal_test(b); },
-     [](const Stream& b) { return wordpar::universal_test(b); }, true},
+    {"universal", [](const Stream& b, Split) { return universal_test(b); },
+     [](const Stream& b, Split) { return wordpar::universal_test(b); }, true},
     {"linear_complexity",
-     [](const Stream& b) { return linear_complexity_test(b); },
-     [](const Stream& b) { return wordpar::linear_complexity_test(b); }, true},
+     [](const Stream& b, Split) { return linear_complexity_test(b); },
+     [](const Stream& b, Split) { return wordpar::linear_complexity_test(b); },
+     true},
 };
 
 }  // namespace
@@ -114,7 +132,9 @@ BatteryReport TestBattery::run(const common::BitStream& bits) const {
     if (t.slow && !options_.include_slow) continue;
     const Kernel kernel =
         options_.engine == Engine::kScalar ? t.scalar : t.wordpar;
-    jobs.push_back([kernel, &bits] { return kernel(bits); });
+    jobs.push_back([kernel, &bits](const ParallelFor& parallel_for) {
+      return kernel(bits, parallel_for);
+    });
   }
   return BatteryReport{BatteryExecutor(options_.threads).run(jobs)};
 }

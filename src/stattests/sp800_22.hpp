@@ -49,7 +49,11 @@ TestResult longest_run_test(const common::BitStream& bits);
 TestResult rank_test(const common::BitStream& bits);
 
 /// 2.6 Discrete Fourier transform (spectral) test. Requires n >= 1000.
+/// The one-argument form runs on the calling thread; the other spreads the
+/// transform over `parallel_for`. Both return the same result.
 TestResult dft_test(const common::BitStream& bits);
+TestResult dft_test(const common::BitStream& bits,
+                    const ParallelFor& parallel_for);
 
 /// 2.7 Non-overlapping template matching, all aperiodic templates of length
 /// `tpl_len` (default 9, the NIST default), 8 blocks. One p-value per

@@ -138,6 +138,15 @@ TestResult rank_from_counts(std::size_t big_n, std::size_t f_full,
 /// the (power-of-two) transform length n (Section 2.6.4 steps 4-6).
 TestResult dft_result(std::size_t below, std::size_t n);
 
+/// The count dft_result takes, for bits [0, n) with n a power of two
+/// >= 16: the transform split into `chunks` slices (a power of two, halved
+/// while a slice would hold fewer than 16 of the n/2 points) that run
+/// through `parallel_for`. The count is the same for every chunk count and
+/// every schedule; chunks = 1 is the plain serial transform.
+std::size_t dft_count_below(const common::BitStream& bits, std::size_t n,
+                            std::size_t chunks,
+                            const ParallelFor& parallel_for);
+
 TestResult linear_complexity_from_lengths(
     std::size_t block_len, const std::vector<std::size_t>& lengths);
 

@@ -2,10 +2,24 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <string>
 #include <vector>
 
 namespace trng::stat {
+
+/// How a test splits its own work: parallel_for(n, body) runs body(i) once
+/// for every i < n, possibly concurrently, and returns when all have run.
+/// A test that takes one must give the same result for any schedule.
+using ParallelFor = std::function<void(
+    std::size_t n, const std::function<void(std::size_t)>& body)>;
+
+/// The ParallelFor that runs body(0), body(1), ... in order on the calling
+/// thread.
+inline void serial_for(std::size_t n,
+                       const std::function<void(std::size_t)>& body) {
+  for (std::size_t i = 0; i < n; ++i) body(i);
+}
 
 /// Outcome of one statistical test on one sequence. Tests that internally
 /// evaluate several sub-statistics (serial, cusum, templates, excursions)

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/bit_source.hpp"
@@ -95,6 +97,41 @@ TEST(TestBattery, FastModeSkipsSlowTests) {
   TestBattery battery(opt);
   const auto report = battery.run(random_bits(200000, 3));
   EXPECT_EQ(report.results.size(), 9u);
+}
+
+TEST(TestBattery, ConcurrentBatteriesShareTheDftPlan) {
+  // Two threaded batteries run at once on sequences of one length, so
+  // their dft transforms take turns on the same plan; each report equals
+  // that sequence's report from a lone run.
+  TestBattery::Options opt;
+  opt.threads = 3;
+  const TestBattery battery(opt);
+  const common::BitStream seqs[2] = {random_bits(1 << 17, 31),
+                                     random_bits(1 << 17, 32)};
+  const BatteryReport lone[2] = {battery.run(seqs[0]), battery.run(seqs[1])};
+  BatteryReport shared[2][2];
+  {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back([&, t] {
+        for (int r = 0; r < 2; ++r) shared[t][r] = battery.run(seqs[t]);
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  for (int t = 0; t < 2; ++t) {
+    for (int r = 0; r < 2; ++r) {
+      ASSERT_EQ(shared[t][r].results.size(), lone[t].results.size());
+      for (std::size_t i = 0; i < lone[t].results.size(); ++i) {
+        const TestResult& want = lone[t].results[i];
+        const TestResult& got = shared[t][r].results[i];
+        EXPECT_EQ(got.name, want.name);
+        EXPECT_EQ(got.applicable, want.applicable);
+        EXPECT_EQ(got.p_values, want.p_values) << want.name;
+        EXPECT_EQ(got.note, want.note);
+      }
+    }
+  }
 }
 
 TEST(TestBattery, BiasedDataFailsMultipleTests) {

@@ -22,7 +22,9 @@
 #include "fpga/fabric.hpp"
 #include "server/sha256.hpp"
 #include "stattests/battery.hpp"
+#include "stattests/battery_executor.hpp"
 #include "stattests/sp800_22.hpp"
+#include "stattests/sp800_22_detail.hpp"
 #include "stattests/sp800_22_wordpar.hpp"
 
 namespace trng::stat {
@@ -371,6 +373,71 @@ TEST(BatteryEquivalence, LongestRunAndRankKernels) {
   const auto big = random_bits(40000, 18);
   expect_identical(rank_test(big), wordpar::rank_test(big));
   expect_identical(dft_test(big), wordpar::dft_test(big));
+}
+
+TEST(BatteryEquivalence, DftChunkedCountEqualsUnchunkedAtEveryThreadCount) {
+  // The spectral count split into 1-16 chunks on pools of 1-5 threads
+  // equals the unchunked serial count. On a pool the five chunk counts run
+  // as five concurrent jobs, so they also take turns on the length's plan
+  // while idle workers help whichever transform holds it.
+  constexpr std::size_t kN = std::size_t{1} << 16;
+  const std::size_t chunk_counts[] = {1, 2, 4, 8, 16};
+  std::vector<common::BitStream> inputs;
+  for (const std::uint64_t seed : {41u, 42u}) {
+    inputs.push_back(random_bits(kN, seed));
+  }
+  common::Xoshiro256StarStar rng(43);
+  common::BitStream biased;
+  for (std::size_t w = 0; w < kN / 64; ++w) {
+    biased.append_bits(rng.next() | rng.next(), 64);  // P(1) = 3/4
+  }
+  inputs.push_back(biased);
+  for (const common::BitStream& bits : inputs) {
+    const std::size_t want = detail::dft_count_below(bits, kN, 1, serial_for);
+    for (unsigned threads = 1; threads <= 5; ++threads) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      std::vector<std::size_t> got(std::size(chunk_counts));
+      std::vector<BatteryExecutor::Job> jobs;
+      for (std::size_t j = 0; j < std::size(chunk_counts); ++j) {
+        jobs.push_back([&, j](const ParallelFor& parallel_for) {
+          got[j] =
+              detail::dft_count_below(bits, kN, chunk_counts[j], parallel_for);
+          return TestResult{};
+        });
+      }
+      (void)BatteryExecutor(threads).run(jobs);
+      for (std::size_t j = 0; j < std::size(chunk_counts); ++j) {
+        EXPECT_EQ(got[j], want) << "chunks " << chunk_counts[j];
+      }
+    }
+  }
+
+  // The threaded battery's dft on the benchmark's sequences reproduces the
+  // p-values pinned by Dft.PinnedPValuesAt2To20Bits.
+  struct Pin {
+    std::uint64_t seed;
+    std::size_t index;
+    double p;
+  };
+  const Pin pins[] = {
+      {1, 0, 0.77017453942179159},  {1, 1, 0.36825872102391044},
+      {1, 2, 0.093075113527028547}, {1, 3, 0.23826271418605666},
+      {2, 0, 0.71731712894377031},  {3, 0, 0.83390157635556883},
+  };
+  TestBattery::Options opt;
+  opt.threads = 4;
+  const TestBattery battery(opt);
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE("seed " + std::to_string(pin.seed) + ", sequence " +
+                 std::to_string(pin.index));
+    const BatteryReport report =
+        battery.run(battery_workload_sequence(pin.seed, pin.index));
+    const auto dft = std::find_if(
+        report.results.begin(), report.results.end(),
+        [](const TestResult& r) { return r.name == "dft"; });
+    ASSERT_NE(dft, report.results.end());
+    EXPECT_EQ(dft->p_values, std::vector<double>{pin.p});
+  }
 }
 
 TEST(BatteryEquivalence, ExcursionsKernels) {

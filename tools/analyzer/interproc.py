@@ -9,7 +9,10 @@ the shared `facts.scan_structure` scanner, and call resolution prefers
 the libclang frontend's semantic `Call.callee_qual` when present,
 falling back to qualified-name heuristics (receiver declaration types,
 receiver-name/class-name affinity, own-class methods, repo-unique
-names) for the lite frontend. Resolution is deliberately
+names) for the lite frontend. A receiver's declared type comes from the
+TU's declarations or, for a member of the caller's class, from the
+class body; a receiver whose declared type is known never resolves to
+another class's method. Resolution is deliberately
 under-approximate: an ambiguous callee resolves to nothing rather than
 to everything, so the lock graph never grows edges from guesses.
 
@@ -57,6 +60,33 @@ _WAITISH = {"wait", "wait_for", "wait_until", "notify_one", "notify_all"}
 _MUTEX_MEMBER_RE = re.compile(r"\bmutex\b[^;{}()=]*?\s(\w+)\s*;")
 
 _NONBLOCKING_ACQ_RE = re.compile(r"\btry_to_lock\b|\bdefer_lock\b")
+
+# A one-line trailing-underscore member declaration inside a class span
+# (`std::vector<SessionHandle> sessions_;`, `WordRing ring_{64};`): the
+# type text, then the member name, then `;`, `=`, `{` or `[`.
+_MEMBER_DECL_RE = re.compile(
+    r"\s*(?:(?:mutable|static|const|constexpr|inline)\s+)*"
+    r"([A-Za-z_][\w:]*(?:<[^;{}()]*>)?[\s*&]+)(\w+_)\s*[;={\[]")
+# Statement keywords the declaration pattern would otherwise read as a
+# type (`return head_;`).
+_NOT_A_TYPE = {"return", "delete", "throw", "else", "case", "goto",
+               "co_return", "co_yield", "new", "sizeof"}
+
+
+def _camel_suffixes(cls: str) -> set[str]:
+    """The class name's trailing CamelCase words, lowercased and joined:
+    `WordRing` -> {"ring", "wordring"}."""
+    words = re.findall(r"[A-Z][a-z0-9]*|[a-z0-9]+", cls)
+    return {"".join(words[i:]).lower() for i in range(len(words))}
+
+
+def _receiver_forms(tail: str) -> set[str]:
+    """The receiver name's trailing snake_case words, joined, with and
+    without a plural `s`: `shard_rings_` -> {"rings", "ring",
+    "shardrings", "shardring"}."""
+    words = [w for w in tail.rstrip("_").lower().split("_") if w]
+    forms = {"".join(words[i:]) for i in range(len(words))}
+    return forms | {f[:-1] for f in forms if len(f) > 1 and f.endswith("s")}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -120,6 +150,7 @@ class Model:
         self.mutex_members: dict[str, set[str]] = {}
         self.class_names: set[str] = set()
         self._decl_types: dict[str, dict[str, str]] = {}
+        self._member_types: dict[tuple[str, str], str] = {}
         self._stripped_lines: dict[str, list[str]] = {}
         self._blocking_closure: dict[int, frozenset] = {}
         self._build()
@@ -137,6 +168,7 @@ class Model:
             for cs in tu.classes:
                 self.class_names.add(cs.name)
             self._scan_mutex_members(tu)
+            self._scan_member_types(tu)
             per_tu = []
             for fd in tu.funcs:
                 f = _Func(tu, fd)
@@ -193,6 +225,25 @@ class Model:
                 self.mutex_members.setdefault(
                     m.group(1), set()).add(owner.name)
 
+    def _scan_member_types(self, tu):
+        """Records (class, member) -> declared type text for one-line
+        member declarations; the innermost class span owns each line."""
+        lines = tu.stripped.splitlines()
+        owner_of: dict[int, object] = {}
+        for cs in tu.classes:
+            for line in range(cs.start_line, cs.end_line + 1):
+                owner = owner_of.get(line)
+                if owner is None or (cs.end_line - cs.start_line) < \
+                        (owner.end_line - owner.start_line):
+                    owner_of[line] = cs
+        for line, cs in owner_of.items():
+            if not 1 <= line <= len(lines):
+                continue
+            m = _MEMBER_DECL_RE.match(lines[line - 1])
+            if m and m.group(1).split()[0] not in _NOT_A_TYPE:
+                self._member_types[(cs.name, m.group(2))] = \
+                    m.group(1).strip()
+
     # ---------------------------------------------------- qualification
 
     def qualify_mutex(self, expr: str, cls: str | None,
@@ -244,7 +295,14 @@ class Model:
             return []
         if len(cands) == 1:
             f = cands[0]
-            if f.cls is None or call.recv is not None:
+            if f.cls is None:
+                return cands
+            if call.recv is not None:
+                # `sessions_.push_back` must not resolve to the repo's
+                # only `push_back` when `sessions_` is declared a vector.
+                t = self._root_receiver_type(call, caller)
+                if t and "auto" not in t and f.cls not in t:
+                    return []
                 return cands
             # Receiver-less call to a unique *method*: only an own-class
             # call qualifies — `::close(fd)` (POSIX) must not resolve to
@@ -254,21 +312,42 @@ class Model:
             base = facts.head_name(call.recv)
             tail = facts.tail_name(call.recv)
             if base:
-                t = self._decl_types.get(caller.rel, {}).get(base, "")
+                t = self._declared_type(base, caller)
                 typed = [f for f in cands if f.cls and f.cls in t]
                 if typed and len({f.cls for f in typed}) == 1:
                     return typed
+            known = self._root_receiver_type(call, caller)
+            if known and "auto" not in known:
+                return []  # declared as none of the candidates' classes
             if tail:
-                norm = tail.rstrip("_").lower()
-                forms = {norm, norm.rstrip("s")}
-                affine = [f for f in cands if f.cls and any(
-                    x and (x in f.cls.lower() or f.cls.lower() in x)
-                    for x in forms)]
+                # The receiver's trailing words name its type's trailing
+                # words: `ring_` and `shard_ring_` are a `WordRing`, but
+                # `words_` is not.
+                forms = _receiver_forms(tail)
+                affine = [f for f in cands if f.cls and
+                          forms & _camel_suffixes(f.cls)]
                 if affine and len({f.cls for f in affine}) == 1:
                     return affine
             return []
         own = [f for f in cands if f.cls and f.cls == caller.res_cls]
         return own
+
+    def _declared_type(self, name: str, caller: _Func) -> str:
+        """Declared type text of `name` as the caller sees it: a TU-local
+        declaration, else a member of the caller's class; "" if unknown."""
+        t = self._decl_types.get(caller.rel, {}).get(name)
+        if t is None and caller.res_cls:
+            t = self._member_types.get((caller.res_cls, name))
+        return t or ""
+
+    def _root_receiver_type(self, call, caller: _Func) -> str:
+        """Declared type of a receiver that is a plain (possibly
+        subscripted) name; "" for member chains, whose last link's type
+        the root's declaration does not give."""
+        base = facts.head_name(call.recv)
+        if not base or base != facts.tail_name(call.recv):
+            return ""
+        return self._declared_type(base, caller)
 
     # ------------------------------------------------------- lock graph
 

@@ -79,6 +79,7 @@ MUST_BE_CLEAN = [
     "src/service/suppressed_ok.cpp",
     "src/server/sa005_locked_good.cpp",
     "src/service/sa008_good.cpp",
+    "src/service/sa008_receiver_good.cpp",  # names that look like a class
     "src/server/sa009_good.cpp",
     "src/service/sa009_state_good.cpp",
 ]
